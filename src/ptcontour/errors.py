@@ -67,7 +67,7 @@ class NotConverged(NumericalError):
 # --- metric / amplitudes -----------------------------------------------------
 
 class NonIntegrable(NumericalError):
-    """Combined exponent grows toward a grid end; amplitude diverges."""
+    """Combined exponent passes the overflow sentinel; amplitude diverges."""
 
 
 # --- isomorphisms ------------------------------------------------------------

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import GridMismatch, PushforwardMismatch
 from .metric import (MetricSpec, TaggedWaveFn, amplitude_matrix,
@@ -125,6 +124,8 @@ def push_wavefn(m: IsoMap, u: TaggedWaveFn,
 
 
 def _resample(u: TaggedWaveFn, grid: Grid) -> TaggedWaveFn:
+    from scipy.interpolate import CubicSpline   # costly import, used only here
+
     src = u.grid.points()
     dst = grid.points()
     outside = (dst < src[0]) | (dst > src[-1])

@@ -162,8 +162,8 @@ def amplitude(u: TaggedWaveFn, v: TaggedWaveFn, eta: MetricSpec) -> complex:
 
     The bra is complex-conjugated.  Exponents combine exactly; when the
     combined exponent vanishes identically the amplitude reduces to a plain
-    Simpson quadrature of the factors.  A combined exponent that grows
-    toward a grid end past the overflow sentinel marks the amplitude as
+    Simpson quadrature of the factors.  A combined exponent that exceeds
+    the overflow sentinel anywhere on the grid marks the amplitude as
     genuinely divergent and raises :class:`NonIntegrable`.
     """
     if u.grid != v.grid:
@@ -176,24 +176,15 @@ def amplitude(u: TaggedWaveFn, v: TaggedWaveFn, eta: MetricSpec) -> complex:
         return complex(np.sum(w * cross))
 
     e = _poly_eval(combined, pts)
-    for end_sign, end in ((-1, 0), (+1, -1)):
-        if _grows_toward(combined, end_sign) and abs(e[end]) > _EXP_OVERFLOW:
-            raise NonIntegrable(
-                f"combined exponent reaches {e[end]:.3g} at grid end")
+    peak = int(np.argmax(e))
+    if e[peak] > _EXP_OVERFLOW:
+        raise NonIntegrable(
+            f"combined exponent peaks at {e[peak]:.3g} at p = {pts[peak]:.3g}")
     mag = np.abs(cross)
     vals = np.zeros_like(cross)
     nz = mag > 0
     vals[nz] = (cross[nz] / mag[nz]) * np.exp(np.log(mag[nz]) + e[nz])
     return complex(np.sum(w * vals))
-
-
-def _grows_toward(combined: tuple[Fraction, ...], end_sign: int) -> bool:
-    """Whether the exponent's leading term grows toward the signed end."""
-    for deg in (3, 2, 1):
-        c = combined[deg]
-        if c != 0:
-            return c * end_sign ** deg > 0
-    return False
 
 
 def amplitude_matrix(basis: list[TaggedWaveFn], eta: MetricSpec) -> np.ndarray:

@@ -22,6 +22,11 @@ Convergence evidence at freeze time (per level):
 "extrapolated drift" is the disagreement between the Richardson values of
 the (801, 1201) and (1201, 1601) grid pairs; it is the drift measure the
 convergence gate uses, and stays below 1e-7 for all eight levels.
+
+``oracle_spectrum`` now discretizes p^2 by the compact 5-point
+second-derivative stencil rather than the square of the first-difference
+matrix, so it needs no artifact filter.  It reproduces the frozen levels within the measured drift:
+4.0e-10 for the first five levels and 5.0e-9 for all eight.
 """
 
 REFERENCE_LEVELS: tuple[float, ...] = (

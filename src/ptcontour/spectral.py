@@ -1,18 +1,16 @@
 """Grid discretization and dense eigensolvers for operator expressions.
 
-Position representation: x acts by multiplication and p = -i d/dx through a
-4th-order centered first-difference matrix with zero (Dirichlet) boundary
-values.  Momentum representation: p is diagonal and x = +i d/dp, matching
-the Fourier convention psi(x) = (2*pi)^(-1/2) * Integral(e^{ipx} psi~(p) dp).
+Position representation: x acts by multiplication and p = -i d/dx.
+Momentum representation: p is diagonal and x = +i d/dp, matching the
+Fourier convention psi(x) = (2*pi)^(-1/2) * Integral(e^{ipx} psi~(p) dp).
 A monomial x^m p^n becomes (matrix of x)^m @ (matrix of p)^n, in that order,
-mirroring the canonical operator ordering.
-
-Squaring the centered first-difference matrix leaves grid-scale sawtooth
-modes with nearly zero kinetic energy, so the raw matrix spectrum contains
-spurious eigenpairs interleaved with the physical ones.  These artifacts
-oscillate sign between neighboring grid points and are removed by a
-neighbor-correlation test (physical modes correlate at +1, artifacts at -1);
-the genuine levels are the ones that survive grid refinement.
+mirroring the canonical operator ordering.  Each derivative power d^k is its
+own compact centered 4th-order k-th-derivative stencil (Fornberg 1988, Math.
+Comp. 51:699) with zero (Dirichlet) values beyond the grid ends, so the
+matrix of a term is one stencil scaled by rows (position) or by columns
+(momentum).  Unlike a power of the first-difference matrix, these stencils
+have no grid-scale sawtooth null modes: the lowest eigenpairs of the matrix
+are the physical ones.
 """
 from __future__ import annotations
 
@@ -24,7 +22,17 @@ import scipy.linalg as sla
 from .errors import GridTooCoarse, NoConvergence, NotConverged, NotHermitian
 from .opalg import ANCHOR, OperatorExpr
 
-_MAX_RETAINED = 12
+_MAX_LEVELS = 12
+
+#: centered 4th-order stencils of d^k, k -> (denominator, integer weights at
+#: offsets -r..r); the matrix entries are weight / (denominator * h^k)
+_STENCILS = {
+    0: (1, (1,)),
+    1: (12, (1, -8, 0, 8, -1)),
+    2: (12, (-1, 16, -30, 16, -1)),
+    3: (8, (1, -8, 13, 0, -13, 8, -1)),
+    4: (6, (-1, 12, -39, 56, -39, 12, -1)),
+}
 
 
 @dataclass(frozen=True)
@@ -64,46 +72,36 @@ def position_grid(extent: float, n: int = 1201) -> Grid:
     return Grid("position", -float(extent), float(extent), n)
 
 
-def first_derivative_matrix(n: int, h: float) -> np.ndarray:
-    """4th-order centered first derivative; values beyond the ends are zero."""
+def derivative_matrix(n: int, h: float, order: int) -> np.ndarray:
+    """4th-order centered d^order; values beyond the ends are zero."""
+    if order not in _STENCILS:
+        raise ValueError(f"no derivative stencil of order {order}")
+    denom, weights = _STENCILS[order]
     d = np.zeros((n, n))
-    for off, w in ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)):
-        d += np.diag(np.full(n - abs(off), w), off)
-    return d / (12.0 * h)
+    for off, w in enumerate(weights, start=-(len(weights) // 2)):
+        np.fill_diagonal(d[max(-off, 0):, max(off, 0):], w)
+    return d / (denom * h ** order)
 
 
 def matrixize(a: OperatorExpr, grid: Grid) -> np.ndarray:
     """Dense complex matrix of a normal-ordered operator on a grid."""
+    out = np.zeros((grid.n, grid.n), dtype=complex)
     if a.is_zero():
-        return np.zeros((grid.n, grid.n), dtype=complex)
+        return out
     maxdeg = a.degree()
     if grid.n < 4 * maxdeg:
         raise GridTooCoarse(
             f"n={grid.n} < 4 * degree={maxdeg} for this operator")
     pts = grid.points()
-    deriv = first_derivative_matrix(grid.n, grid.spacing)
-    max_m = max(m for m, _ in a.terms)
-    max_n = max(n for _, n in a.terms)
-
-    if grid.variable == "position":
-        # x diagonal, p = -i D; term: diag(x^m) @ P^n  (row scaling)
-        p_pows: list[np.ndarray] = [np.eye(grid.n, dtype=complex)]
-        pmat = -1j * deriv
-        for _ in range(max_n):
-            p_pows.append(p_pows[-1] @ pmat)
-        out = np.zeros((grid.n, grid.n), dtype=complex)
-        for (m, n), c in a.terms.items():
-            out += complex(c) * (pts ** m)[:, None] * p_pows[n]
-        return out
-
-    # momentum: p diagonal, x = +i D; term: X^m @ diag(p^n)  (column scaling)
-    x_pows: list[np.ndarray] = [np.eye(grid.n, dtype=complex)]
-    xmat = 1j * deriv
-    for _ in range(max_m):
-        x_pows.append(x_pows[-1] @ xmat)
-    out = np.zeros((grid.n, grid.n), dtype=complex)
     for (m, n), c in a.terms.items():
-        out += complex(c) * x_pows[m] * (pts ** n)[None, :]
+        if grid.variable == "position":
+            # x^m (-i d/dx)^n: row scaling
+            d = derivative_matrix(grid.n, grid.spacing, n)
+            out += complex(c) * (-1j) ** n * (pts ** m)[:, None] * d
+        else:
+            # (i d/dp)^m p^n: column scaling
+            d = derivative_matrix(grid.n, grid.spacing, m)
+            out += complex(c) * 1j ** m * (pts ** n)[None, :] * d
     return out
 
 
@@ -144,25 +142,14 @@ def neighbor_correlation(v: np.ndarray) -> float:
 
 
 def is_grid_artifact(v: np.ndarray) -> bool:
+    """Diagnostic: whether a grid vector is a sawtooth rather than a mode."""
     # physical modes correlate near +1, sawtooth artifacts near -1; anything
     # clearly negative is an artifact (0 is typical of non-grid test matrices)
     return neighbor_correlation(v) < -0.5
 
 
-def _retained(vals, vecs, k, drop_artifacts):
-    idx = []
-    for i in range(len(vals)):
-        if drop_artifacts and is_grid_artifact(vecs[:, i]):
-            continue
-        idx.append(i)
-        if len(idx) == k:
-            break
-    return idx
-
-
-def hermitian_eigenpairs(mat: np.ndarray, k: int,
-                         drop_artifacts: bool = True):
-    """Lowest physical eigenpairs of a Hermitian grid matrix.
+def hermitian_eigenpairs(mat: np.ndarray, k: int):
+    """Lowest k eigenpairs of a Hermitian grid matrix.
 
     Returns (values, vectors) with vectors in columns.  Vectors come out
     real when the matrix is real symmetric.
@@ -171,16 +158,7 @@ def hermitian_eigenpairs(mat: np.ndarray, k: int,
     if np.abs(mat - mat.conj().T).max() >= 1e-10 * scale:
         raise NotHermitian("matrix fails the Hermiticity tolerance")
     sym = mat.real if np.abs(mat.imag).max() == 0.0 else mat
-    # artifacts interleave roughly 1:1 with genuine levels; solve a margin
-    top = min(2 * k + 8, sym.shape[0] - 1)
-    vals, vecs = sla.eigh(sym, subset_by_index=(0, top))
-    idx = _retained(vals, vecs, k, drop_artifacts)
-    if len(idx) < k:
-        vals, vecs = sla.eigh(sym)
-        idx = _retained(vals, vecs, k, drop_artifacts)
-        if len(idx) < k:
-            raise NoConvergence(f"fewer than {k} physical levels found")
-    return vals[idx], vecs[:, idx]
+    return sla.eigh(sym, subset_by_index=(0, k - 1))
 
 
 def _residuals(mat, vals, vecs) -> tuple[float, ...]:
@@ -192,41 +170,36 @@ def _residuals(mat, vals, vecs) -> tuple[float, ...]:
     return tuple(out)
 
 
-def eigensolve_hermitian(mat: np.ndarray, k: int, grid: Grid | None = None,
-                         drop_artifacts: bool = True) -> SpectrumResult:
-    """k smallest physical eigenvalues of a Hermitian matrix, with residuals."""
-    if k > _MAX_RETAINED:
-        raise ValueError(f"at most {_MAX_RETAINED} eigenpairs are retained")
-    vals, vecs = hermitian_eigenpairs(mat, k, drop_artifacts)
-    method = "eigh" + ("+artifact-filter" if drop_artifacts else "")
+def eigensolve_hermitian(mat: np.ndarray, k: int,
+                         grid: Grid | None = None) -> SpectrumResult:
+    """k smallest eigenvalues of a Hermitian matrix, with residuals."""
+    if k > _MAX_LEVELS:
+        raise ValueError(f"at most {_MAX_LEVELS} eigenpairs are retained")
+    vals, vecs = hermitian_eigenpairs(mat, k)
     return SpectrumResult(
         eigenvalues=tuple(complex(v) for v in vals),
         residual_norms=_residuals(mat, vals, vecs),
         grid=grid,
-        method=method,
+        method="eigh",
     )
 
 
-def eigensolve_general(mat: np.ndarray, k: int, grid: Grid | None = None,
-                       drop_artifacts: bool = True) -> SpectrumResult:
+def eigensolve_general(mat: np.ndarray, k: int,
+                       grid: Grid | None = None) -> SpectrumResult:
     """k eigenvalues of smallest real part of a general complex matrix."""
-    if k > _MAX_RETAINED:
-        raise ValueError(f"at most {_MAX_RETAINED} eigenpairs are retained")
+    if k > _MAX_LEVELS:
+        raise ValueError(f"at most {_MAX_LEVELS} eigenpairs are retained")
     try:
         vals, vecs = sla.eig(mat)
     except np.linalg.LinAlgError as exc:   # pragma: no cover - hardware path
         raise NoConvergence(str(exc)) from exc
-    order = np.argsort(vals.real, kind="stable")
+    order = np.argsort(vals.real, kind="stable")[:k]
     vals, vecs = vals[order], vecs[:, order]
-    idx = _retained(vals, vecs, k, drop_artifacts)
-    if len(idx) < k:
-        raise NoConvergence(f"fewer than {k} physical levels found")
-    method = "hessenberg-qr" + ("+artifact-filter" if drop_artifacts else "")
     return SpectrumResult(
-        eigenvalues=tuple(complex(v) for v in vals[idx]),
-        residual_norms=_residuals(mat, vals[idx], vecs[:, idx]),
+        eigenvalues=tuple(complex(v) for v in vals),
+        residual_norms=_residuals(mat, vals, vecs),
         grid=grid,
-        method=method,
+        method="hessenberg-qr",
     )
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,10 +8,10 @@ import pytest
 from ptcontour.catalog import (ADJACENT, LOWER_PT, LOWER_PT_B5, SQRT_IX,
                                STANDARD_FIVE, UPPER_PT)
 from ptcontour.errors import NonHermitianRho, NonIntegrable, NotHermitizable
-from ptcontour.metric import (TaggedWaveFn, amplitude, amplitude_matrix,
-                              default_momentum_grid, eigenbasis,
-                              exact_hermite_norm, hermite_demo, hermite_values,
-                              metric_of, simpson_weights)
+from ptcontour.metric import (MetricSpec, TaggedWaveFn, amplitude,
+                              amplitude_matrix, default_momentum_grid,
+                              eigenbasis, exact_hermite_norm, hermite_demo,
+                              hermite_values, metric_of, simpson_weights)
 from ptcontour.opalg import ContourParams, dyson_coefficients
 from ptcontour.rational import GaussianRational as Q
 from ptcontour.spectral import Grid
@@ -150,6 +151,20 @@ def test_amplitude_divergent_pairing_raises(wide_adjacent_basis):
     u = wide_adjacent_basis[0]
     with pytest.raises(NonIntegrable):
         amplitude(u, u, metric_of(LOWER_PT))    # 65/48 p^3 at p=30: huge
+
+
+@pytest.mark.parametrize("lo, hi", [(-10.5, 17.3), (-10.5, 10.5)])
+def test_amplitude_interior_peak_raises(lo, hi):
+    # combined exponent p^3 - 300p peaks at +2000 at p = -10, inside the grid;
+    # on [-10.5, 17.3] no end overflows, on [-10.5, 10.5] the right end decays
+    grid = Grid("momentum", lo, hi, 1391)
+    u = TaggedWaveFn(grid=grid, factor=np.ones(grid.n),
+                     exponent=(Fraction(0), Fraction(-150), Fraction(0),
+                               Fraction(1, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonIntegrable, match=r"peaks at 2e\+03 at p = -10"):
+            amplitude(u, u, MetricSpec(kappa3=Fraction(0), kappa1=Fraction(0)))
 
 
 def test_amplitude_nonzero_exponent_small_case(wide_adjacent_basis):

@@ -1,16 +1,20 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from ptcontour.catalog import LOWER_PT, STANDARD_FIVE
 from ptcontour.errors import GridTooCoarse, NotConverged, NotHermitian
-from ptcontour.opalg import (ANCHOR, ANCHOR_PARITY, OperatorExpr, build_h1,
-                             hermitize)
+from ptcontour.metric import default_momentum_grid
+from ptcontour.opalg import (ANCHOR, ANCHOR_PARITY, ContourParams,
+                             OperatorExpr, build_h1, hermitize)
 from ptcontour.rational import GaussianRational as Q
 from ptcontour.reference import REFERENCE_LEVELS
-from ptcontour.spectral import (Grid, eigensolve_general, eigensolve_hermitian,
-                                first_derivative_matrix, hermitian_eigenpairs,
-                                matrixize, neighbor_correlation,
-                                oracle_spectrum)
+from ptcontour.spectral import (Grid, derivative_matrix, eigensolve_general,
+                                eigensolve_hermitian, hermitian_eigenpairs,
+                                is_grid_artifact, matrixize,
+                                neighbor_correlation, oracle_spectrum)
 
 OSC_MINUS_ONE = OperatorExpr({(0, 2): Q(1), (2, 0): Q(1), (0, 0): Q(-1)})
 OSC = OperatorExpr({(0, 2): Q(1), (2, 0): Q(1)})
@@ -36,9 +40,23 @@ def test_grid_validation():
 def test_matrixize_x_on_momentum_grid_is_antisymmetric_stencil():
     g = Grid("momentum", -1.0, 1.0, 33)
     mat = matrixize(OperatorExpr.x(), g)
-    expected = 1j * first_derivative_matrix(33, g.spacing)
+    expected = 1j * derivative_matrix(33, g.spacing, 1)
     assert np.abs(mat - expected).max() == 0.0
     assert np.abs(mat + mat.T).max() == 0.0       # antisymmetric stencil
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_derivative_matrix_exact_on_polynomials(order):
+    # 4th-order centered stencils differentiate degree <= order + 3 exactly
+    n, h = 41, 0.125
+    z = (np.arange(n) - n // 2) * h
+    d = derivative_matrix(n, h, order)
+    interior = slice(3, n - 3)
+    for deg in range(order + 4):
+        exact = (np.zeros(n) if deg < order else
+                 math.perm(deg, order) * z ** (deg - order))
+        err = np.abs(d @ z ** deg - exact)[interior].max()
+        assert err < 1e-9 * max(1.0, np.abs(exact).max())
 
 
 def test_matrixize_ix_is_anti_hermitian():
@@ -106,6 +124,25 @@ def test_retained_count_capped():
     g = Grid("position", -10.0, 10.0, 201)
     with pytest.raises(ValueError):
         eigensolve_hermitian(matrixize(OSC, g), 13, grid=g)
+
+
+def test_no_retained_vector_is_grid_artifact():
+    cases = [(ANCHOR, Grid("position", -6.0, 6.0, n))
+             for n in (801, 1201, 1601)]
+    cases += [(hermitize(p).h, default_momentum_grid(p))
+              for p in STANDARD_FIVE]
+    for op, g in cases:
+        _, vecs = hermitian_eigenpairs(matrixize(op, g), 8)
+        assert not any(is_grid_artifact(vecs[:, i]) for i in range(8))
+
+
+@pytest.mark.parametrize("t", [Fraction(1, 1000), Fraction(1, 10), 10, 1000])
+def test_extreme_a2c_matches_reference(spectrum_cache, t):
+    # |a^2 c| = t spans six decades; the 4|a^2 c| grid half-width keeps up
+    res = spectrum_cache(ContourParams(a=Q(1), b=Q(t), c=Q(t)), k=5)
+    rel = np.abs(res.real_parts() - np.array(REFERENCE_LEVELS[:5])) \
+        / np.array(REFERENCE_LEVELS[:5])
+    assert rel.max() < 1e-5
 
 
 def test_artifact_filter_flags_sawtooth():
