@@ -25,8 +25,8 @@ from .opalg import (ANCHOR, Branch, ContourParams, OperatorExpr, adjoint,
 from .rational import GaussianRational
 from .reference import REFERENCE_LEVELS
 from .spectral import (Grid, SpectrumResult, eigensolve_general,
-                       eigensolve_hermitian, matrixize, momentum_grid,
-                       oracle_spectrum, position_grid)
+                       eigensolve_hermitian, matrixize, oracle_spectrum,
+                       position_grid)
 from .wkb import (TAG_PARAMS, TAGS, WkbProfile, compare_to_numeric, eval_wkb,
                   in_domain, metric_weighted_wkb, profile)
 
@@ -45,7 +45,7 @@ __all__ = [
     "eval_wkb", "exact_hermite_norm", "hermite_demo", "hermitian_form",
     "hermitize", "in_domain", "is_hermitian", "is_pt_symmetric",
     "map_params", "matrixize", "metric_of", "metric_weighted_wkb",
-    "momentum_grid", "multiply", "oracle_spectrum", "polyline",
+    "multiply", "oracle_spectrum", "polyline",
     "position_grid", "profile", "push_metric", "push_wavefn", "sample",
     "simpson_weights", "substitute_linear", "verify_isometry",
     "wedge_report",

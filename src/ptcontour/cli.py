@@ -19,8 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import catalog, reference
 from .contour import polyline, wedge_report
 from .errors import (NumericalError, ParseError, PtContourError)
@@ -33,7 +31,7 @@ from .opalg import (ANCHOR, Branch, ContourParams, OperatorExpr,
                     is_hermitian)
 from .rational import GaussianRational
 from .spectral import eigensolve_hermitian, matrixize
-from .wkb import TAGS, eval_wkb, in_domain, metric_weighted_wkb
+from .wkb import TAGS, profile
 
 _NUMBER = r"(?:\d+/\d+|\d+\.\d+|\.\d+|\d+)"
 _SINGLE = re.compile(rf"^(?P<sign>[+-]?)(?P<mag>{_NUMBER})?(?P<i>i)?$")
@@ -228,10 +226,9 @@ def _cmd_wedges(args):
 
 def _cmd_wkb(args):
     tag = args.tag
-    ps = np.linspace(args.p_min, args.p_max, args.n)
-    logmag = np.asarray(eval_wkb(tag, ps))
-    weighted = np.asarray(metric_weighted_wkb(tag, ps))
-    mask = in_domain(tag, ps)
+    prof = profile(tag, args.p_min, args.p_max, args.n)
+    ps, logmag, mask = prof.p, prof.log_magnitude, prof.mask
+    weighted = prof.weighted_log_magnitude
     payload = {
         "command": "wkb", "tag": tag,
         "p_min": args.p_min, "p_max": args.p_max, "n": args.n,

@@ -146,10 +146,9 @@ def _classify(theta: float) -> tuple[int, str]:
     return wedge, family
 
 
-def is_pt_symmetric(params: ContourParams, extent: float = 50.0,
-                    n: int = 1001) -> bool:
-    """Grid test of z(-x) = -conj(z(x)) on a symmetric sample."""
-    xs = np.linspace(-extent, extent, n)
+def is_pt_symmetric(params: ContourParams) -> bool:
+    """Grid test of z(-x) = -conj(z(x)) on 1001 points of [-50, 50]."""
+    xs = np.linspace(-50.0, 50.0, 1001)
     zs = np.array([s.z for s in sample(params, xs)])
     dev = np.abs(zs[::-1] + np.conj(zs)).max()
     return bool(dev < _PT_TOL)

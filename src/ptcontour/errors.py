@@ -72,10 +72,6 @@ class NonIntegrable(NumericalError):
 
 # --- isomorphisms ------------------------------------------------------------
 
-class GridMismatch(ValidationError):
-    """Resampling would extrapolate beyond the source grid's support."""
-
-
 class PushforwardMismatch(PtContourError):
     """Exact metric transport identity failed (implementation bug)."""
 

@@ -20,14 +20,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import GridMismatch, PushforwardMismatch
+from .errors import PushforwardMismatch
 from .metric import (MetricSpec, TaggedWaveFn, amplitude_matrix,
                      default_momentum_grid, eigenbasis, metric_of)
 from .opalg import ContourParams, _require_hermitizable
 from .rational import GaussianRational
 from .spectral import Grid
-
-_EXTRAPOLATION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -96,15 +94,13 @@ def push_metric(m: IsoMap, eta1: MetricSpec) -> MetricSpec:
     return pushed
 
 
-def push_wavefn(m: IsoMap, u: TaggedWaveFn,
-                target_grid: Grid | None = None) -> TaggedWaveFn:
+def push_wavefn(m: IsoMap, u: TaggedWaveFn) -> TaggedWaveFn:
     """Transport a tagged wavefunction along the map.
 
     The dilation part rescales the grid by beta (with a parity fold for
     beta < 0) and divides exponent coefficients by beta^k; the shift part
     adds gamma * p.  The factor keeps its sample values up to the unitary
-    normalization |beta|^(-1/2) -- only an optional resampling onto a
-    caller-supplied grid interpolates, and never the implicit exponential.
+    normalization |beta|^(-1/2); nothing is interpolated.
     """
     if u.grid.variable != "momentum" or not u.grid.symmetric:
         raise ValueError("push_wavefn requires a symmetric momentum grid")
@@ -116,31 +112,8 @@ def push_wavefn(m: IsoMap, u: TaggedWaveFn,
         factor = factor[::-1].copy()
     exponent = tuple(c / beta ** k for k, c in enumerate(u.exponent))
     exponent = (exponent[0], exponent[1] + gamma, exponent[2], exponent[3])
-    pushed = TaggedWaveFn(grid=natural, factor=factor, exponent=exponent,
-                          label=f"{u.label} pushed to {m.target.label()}")
-    if target_grid is None or target_grid == natural:
-        return pushed
-    return _resample(pushed, target_grid)
-
-
-def _resample(u: TaggedWaveFn, grid: Grid) -> TaggedWaveFn:
-    from scipy.interpolate import CubicSpline   # costly import, used only here
-
-    src = u.grid.points()
-    dst = grid.points()
-    outside = (dst < src[0]) | (dst > src[-1])
-    if outside.any():
-        edge = max(abs(u.factor[0]), abs(u.factor[-1]))
-        if edge > _EXTRAPOLATION_TOL * np.abs(u.factor).max():
-            raise GridMismatch(
-                "resampling would extrapolate beyond source support")
-    spline_re = CubicSpline(src, u.factor.real)
-    vals = spline_re(dst)
-    if np.iscomplexobj(u.factor):
-        vals = vals + 1j * CubicSpline(src, u.factor.imag)(dst)
-    vals = np.where(outside, 0.0, vals)
-    return TaggedWaveFn(grid=grid, factor=vals, exponent=u.exponent,
-                        label=u.label)
+    return TaggedWaveFn(grid=natural, factor=factor, exponent=exponent,
+                        label=f"{u.label} pushed to {m.target.label()}")
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from .rational import GaussianRational
 from .spectral import Grid, hermitian_eigenpairs, matrixize
 
 _EXP_OVERFLOW = 700.0
+_HALFWIDTH_SCALE = 4.0
 
 
 @dataclass(frozen=True)
@@ -138,16 +139,15 @@ def eigenbasis(params: ContourParams, k: int, grid: Grid) -> list[TaggedWaveFn]:
     return out
 
 
-def default_momentum_grid(params: ContourParams, n: int = 1201,
-                          halfwidth_scale: float = 4.0) -> Grid:
+def default_momentum_grid(params: ContourParams, n: int = 1201) -> Grid:
     """Momentum grid wide enough for the contour's eigenfunctions.
 
     The Hermitian equivalents are self-similar under p -> |a^2 c| p, so a
-    halfwidth proportional to |a^2 c| gives every contour the same resolution.
+    halfwidth of 4|a^2 c| gives every contour the same resolution.
     """
     s = params.a2c
     scale = math.hypot(float(s.re), float(s.im))
-    return Grid("momentum", -halfwidth_scale * scale, halfwidth_scale * scale, n)
+    return Grid("momentum", -_HALFWIDTH_SCALE * scale, _HALFWIDTH_SCALE * scale, n)
 
 
 def _combined_exponent(u: TaggedWaveFn, v: TaggedWaveFn,

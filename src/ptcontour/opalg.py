@@ -13,12 +13,11 @@ single anchor operator ``p^2 + 4x^4 - 2x``.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .errors import NonHermitianRho, NonTerminating, NotCanonical, NotHermitizable
 from .rational import GaussianRational, I, ONE
@@ -179,31 +178,6 @@ class OperatorExpr:
             else:
                 parts.append(f"({cs})" if ("+" in cs[1:] or "-" in cs[1:]) else cs)
         return " + ".join(parts).replace("+ -", "- ")
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_json_obj(self) -> list[dict]:
-        out = []
-        for (m, n), c in sorted(self._terms.items()):
-            out.append({"m": m, "n": n,
-                        "re": f"{c.re_num}/{c.re_den}",
-                        "im": f"{c.im_num}/{c.im_den}"})
-        return out
-
-    @classmethod
-    def from_json_obj(cls, obj: Iterable[dict]) -> "OperatorExpr":
-        terms = {}
-        for t in obj:
-            c = GaussianRational(Fraction(t["re"]), Fraction(t["im"]))
-            terms[(int(t["m"]), int(t["n"]))] = c
-        return cls(terms)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, text: str) -> "OperatorExpr":
-        return cls.from_json_obj(json.loads(text))
 
 
 # ---------------------------------------------------------------------------
@@ -428,26 +402,22 @@ class SwapResult(NamedTuple):
 def canonical_swap(h: OperatorExpr, params: ContourParams) -> SwapResult:
     """Map the Hermitian equivalent onto the anchor operator.
 
-    Applies x -> 2p/(a^2 c), p -> -(a^2 c) x / 2 followed by the unitary
-    dilation (x, p) -> (2x, p/2).  The substitution alone produces
-    ``4p^2 + x^4/4 - x``, which is unitarily equivalent to but not literally
-    the anchor; the composite lands on ``p^2 + 4x^4 - 2x`` (or its parity
+    Applies the single canonical substitution x -> p/(a^2 c),
+    p -> -(a^2 c) x: the swap x -> 2p/(a^2 c), p -> -(a^2 c) x / 2 (which
+    alone gives ``4p^2 + x^4/4 - x``, unitarily equivalent to but not
+    literally the anchor) composed with the unitary dilation
+    (x, p) -> (2x, p/2).  It lands on ``p^2 + 4x^4 - 2x`` (or its parity
     image, reported through the flag).
     """
     a2c = params.a2c
-    swapped = substitute_linear(
+    mapped = substitute_linear(
         h,
-        OperatorExpr.monomial(0, 1, GaussianRational(2) / a2c),
-        OperatorExpr.monomial(1, 0, -a2c * Fraction(1, 2)),
+        OperatorExpr.monomial(0, 1, ONE / a2c),
+        OperatorExpr.monomial(1, 0, -a2c),
     )
-    dilated = substitute_linear(
-        swapped,
-        OperatorExpr.monomial(1, 0, 2),
-        OperatorExpr.monomial(0, 1, Fraction(1, 2)),
-    )
-    if dilated == ANCHOR:
-        return SwapResult(dilated, False)
-    if dilated == ANCHOR_PARITY:
-        return SwapResult(dilated, True)
+    if mapped == ANCHOR:
+        return SwapResult(mapped, False)
+    if mapped == ANCHOR_PARITY:
+        return SwapResult(mapped, True)
     raise ValueError(
-        f"canonical swap produced neither anchor form: {dilated!r}")
+        f"canonical swap produced neither anchor form: {mapped!r}")

@@ -170,6 +170,5 @@ class GaussianRational:
         return f"{self.re}{sign}{im}"
 
 
-ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)

@@ -21,6 +21,7 @@ import scipy.linalg as sla
 
 from .errors import GridTooCoarse, NoConvergence, NotConverged, NotHermitian
 from .opalg import ANCHOR, OperatorExpr
+from .reference import REFERENCE_DOMAIN, REFERENCE_GRID_SIZES
 
 _MAX_LEVELS = 12
 
@@ -62,10 +63,6 @@ class Grid:
 
     def points(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.n)
-
-
-def momentum_grid(extent: float, n: int = 1201) -> Grid:
-    return Grid("momentum", -float(extent), float(extent), n)
 
 
 def position_grid(extent: float, n: int = 1201) -> Grid:
@@ -207,8 +204,6 @@ def eigensolve_general(mat: np.ndarray, k: int,
 # reference spectrum of the anchor operator
 # ---------------------------------------------------------------------------
 
-_ORACLE_GRIDS = (801, 1201, 1601)
-_ORACLE_DOMAIN = (-6.0, 6.0)
 _DRIFT_BOUND = 1e-7
 _STENCIL_ORDER = 4
 
@@ -231,8 +226,8 @@ def oracle_spectrum(levels: int = 5, operator: OperatorExpr | None = None) -> np
     op = ANCHOR if operator is None else operator
     per_grid = []
     spacings = []
-    for n in _ORACLE_GRIDS:
-        grid = Grid("position", *_ORACLE_DOMAIN, n)
+    for n in REFERENCE_GRID_SIZES:
+        grid = Grid("position", *REFERENCE_DOMAIN, n)
         vals, _ = hermitian_eigenpairs(matrixize(op, grid), levels)
         per_grid.append(vals)
         spacings.append(grid.spacing)

@@ -124,9 +124,10 @@ def profile(tag: str, p_min: float = -30.0, p_max: float = 30.0,
                       mask=in_domain(tag, ps))
 
 
-def weighted_tail_integral(tag: str, extent: float, n_per_unit: int = 8) -> float:
-    """Trapezoid integral of the metric-weighted profile over its valid region."""
-    n = max(int(2 * extent * n_per_unit) + 1, 64)
+def weighted_tail_integral(tag: str, extent: float) -> float:
+    """Trapezoid integral of the metric-weighted profile over its valid region,
+    sampled 8 times per unit of p (and at least 64 times)."""
+    n = max(int(16 * extent) + 1, 64)
     ps = np.linspace(-extent, extent, n)
     mask = in_domain(tag, ps)
     vals = np.zeros_like(ps)
@@ -161,9 +162,8 @@ def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def compare_to_numeric(tag: str, params: ContourParams, level: int = 0,
-                       n: int = 1201) -> list[TailComparison]:
-    """Compare profile decay against the computed eigenfunction factor.
+def compare_to_numeric(tag: str, params: ContourParams) -> list[TailComparison]:
+    """Compare profile decay against the computed ground-state factor.
 
     The factored representation splits each wavefunction into the exact
     polynomial exponent (which reproduces the profile's printed cubic and
@@ -178,8 +178,7 @@ def compare_to_numeric(tag: str, params: ContourParams, level: int = 0,
     canon = TAG_PARAMS[tag]
     if (params.a, params.b, params.c) != (canon.a, canon.b, canon.c):
         raise ValueError(f"params {params.label()} do not correspond to {tag!r}")
-    basis = eigenbasis(params, level + 1, default_momentum_grid(params, n=n))
-    u = basis[level]
+    u = eigenbasis(params, 1, default_momentum_grid(params))[0]
     pts = u.grid.points()
     log_factor = np.full(len(pts), -np.inf)
     nz = np.abs(u.factor) > 0

@@ -86,13 +86,39 @@ def test_spectrum_b_independence(tmp_path, capsys):
         assert abs(a["re"] - b["re"]) < 1e-7
 
 
-def test_spectrum_determinism(tmp_path):
+def assert_deterministic(tmp_path, argv):
+    """Run one subcommand twice; every file it writes must be byte-identical."""
+    runs = []
     for sub in ("one", "two"):
-        main(["spectrum", "--a", "i", "--b", "1", "--c", "1",
-              "--levels", "2", "--grid-n", "401",
-              "--out", str(tmp_path / sub)])
-    assert (tmp_path / "one/spectrum.json").read_bytes() == \
-           (tmp_path / "two/spectrum.json").read_bytes()
+        out = tmp_path / sub
+        assert main([*argv, "--out", str(out)]) == 0
+        runs.append({p.relative_to(out): p.read_bytes()
+                     for p in out.rglob("*") if p.is_file()})
+    assert runs[0] and runs[0] == runs[1]
+
+
+def test_spectrum_determinism(tmp_path):
+    assert_deterministic(tmp_path, ["spectrum", "--a", "i", "--b", "1",
+                                    "--c", "1", "--levels", "2",
+                                    "--grid-n", "401"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["algebra-verify"],
+    ["iso-check", "--src", "1,1,1", "--dst", "-2i,1,1", "-k", "2",
+     "--grid-n", "401"],
+    ["wedges", "--a", "1", "--b", "1", "--c", "1"],
+    ["wkb", "--tag", "adjacent", "--n", "101"],
+    ["hermite-demo", "--n-max", "3"],
+    ["sweep", "--levels", "2", "--grid-n", "401"],
+], ids=lambda argv: argv[0])
+def test_subcommand_determinism(tmp_path, argv):
+    if argv[0] == "sweep":
+        cfg = tmp_path / "contours.ini"
+        cfg.write_text("[reference]\na = -2i\nb = 1\nc = 1\n\n"
+                       "[upper]\na = i\nb = 1\nc = 1\n")
+        argv = [*argv, "--config", str(cfg)]
+    assert_deterministic(tmp_path, argv)
 
 
 def test_iso_check(tmp_path, capsys):

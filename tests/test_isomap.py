@@ -6,14 +6,12 @@ import pytest
 
 from ptcontour.catalog import (ADJACENT, LOWER_PT, LOWER_PT_B5, SQRT_IX,
                                STANDARD_FIVE, UPPER_PT)
-from ptcontour.errors import GridMismatch, PushforwardMismatch
+from ptcontour.errors import PushforwardMismatch
 from ptcontour.isomap import (IsoMap, map_params, push_metric, push_wavefn,
                               verify_isometry)
-from ptcontour.metric import (amplitude, amplitude_matrix,
-                              default_momentum_grid, eigenbasis, metric_of)
+from ptcontour.metric import amplitude, amplitude_matrix, metric_of
 from ptcontour.rational import GaussianRational as Q
 from ptcontour.reference import REFERENCE_LEVELS
-from ptcontour.spectral import Grid
 
 
 # --- map parameters ---------------------------------------------------------
@@ -130,28 +128,6 @@ def test_push_wavefn_norm_preserved(basis_cache):
     pushed = push_wavefn(m, u)
     val = amplitude(pushed, pushed, metric_of(LOWER_PT))
     assert abs(val - 1.0) < 1e-6
-
-
-def test_push_wavefn_resampling_onto_supplied_grid(basis_cache):
-    u = basis_cache(UPPER_PT, k=1)[0]
-    m = map_params(UPPER_PT, LOWER_PT)
-    natural = push_wavefn(m, u)
-    coarser = Grid("momentum", natural.grid.lo, natural.grid.hi, 801)
-    resampled = push_wavefn(m, u, target_grid=coarser)
-    assert resampled.grid == coarser
-    val = amplitude(resampled, resampled, metric_of(LOWER_PT))
-    assert abs(val - 1.0) < 1e-6
-
-
-def test_push_wavefn_extrapolation_rejected():
-    # a basis on a deliberately narrow grid still carries boundary weight;
-    # resampling past its support must fail loudly
-    narrow = Grid("momentum", -2.0, 2.0, 257)
-    u = eigenbasis(UPPER_PT, 1, narrow)[0]
-    m = map_params(UPPER_PT, LOWER_PT)
-    wider = Grid("momentum", -16.0, 16.0, 1025)
-    with pytest.raises(GridMismatch):
-        push_wavefn(m, u, target_grid=wider)
 
 
 # --- isometry reports ----------------------------------------------------------------

@@ -341,23 +341,3 @@ def test_canonical_swap_parity_flag_on_parity_image():
     res = canonical_swap(mirrored, UPPER_PT)
     assert res.parity_flipped is True
     assert res.operator == ANCHOR_PARITY
-
-
-# --- serialization ----------------------------------------------------------------
-
-def test_json_round_trip_exact():
-    h = hermitize(LOWER_PT).h
-    assert OperatorExpr.loads(h.dumps()) == h
-
-
-def test_json_canonical_order_and_fields():
-    obj = (X * P + op({(0, 0): (Fraction(1, 3), Fraction(-2, 5))})).to_json_obj()
-    assert obj == sorted(obj, key=lambda t: (t["m"], t["n"]))
-    assert obj[0] == {"m": 0, "n": 0, "re": "1/3", "im": "-2/5"}
-
-
-def test_json_round_trip_random():
-    rng = random.Random(42)
-    for _ in range(30):
-        a = random_operator(rng)
-        assert OperatorExpr.from_json_obj(a.to_json_obj()) == a

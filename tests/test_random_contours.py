@@ -1,0 +1,60 @@
+"""Exact identities over randomly drawn admissible contours.
+
+Every admissible contour has a = u + vi, c = t * conj(a)^2 and b = s * c
+with t a nonzero rational, so a^2 c = t |a|^4 and b/c = s are real.  The
+identities that the catalog tests check on five contours must hold, with
+zero tolerance, on each of these draws too.
+"""
+import random
+from fractions import Fraction
+
+from ptcontour.catalog import LOWER_PT
+from ptcontour.isomap import map_params, push_metric
+from ptcontour.metric import metric_of
+from ptcontour.opalg import (ANCHOR, ContourParams, canonical_swap,
+                             hermitian_form, hermitize, is_hermitian)
+from ptcontour.rational import GaussianRational as Q
+
+_HALVES = [Fraction(k, 2) for k in range(-4, 5)]     # -2, -3/2, ..., 2
+
+
+def random_contours(count):
+    rng = random.Random(20261018)
+    out = []
+    while len(out) < count:
+        u, v, s = rng.choice(_HALVES), rng.choice(_HALVES), rng.choice(_HALVES)
+        if u == 0 and v == 0:
+            continue
+        t = Fraction(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]),
+                     rng.choice([1, 2, 3, 5]))
+        a = Q(u, v)
+        c = Q(t) * a.conjugate() * a.conjugate()
+        out.append(ContourParams(a, Q(s) * c, c))
+    return out
+
+
+def test_exact_identities_on_random_contours():
+    draws = random_contours(100)
+    for params in draws:
+        h = hermitize(params).h
+        assert h == hermitian_form(params)
+        assert is_hermitian(h)
+        swap = canonical_swap(h, params)
+        assert swap.operator == ANCHOR
+        assert swap.parity_flipped is False
+        ident = map_params(params, params)
+        assert (ident.beta, ident.gamma) == (Q(1), Q(0))
+
+    pairs = list(zip(draws, draws[1:])) + [(LOWER_PT, p) for p in draws]
+    for src, dst in pairs:
+        pushed = push_metric(map_params(src, dst), metric_of(src))
+        direct = metric_of(dst)
+        assert (pushed.kappa3, pushed.kappa1) == (direct.kappa3, direct.kappa1)
+
+    for p0, p1, p2, p3 in zip(draws, draws[1:], draws[2:], draws[3:]):
+        m1, m2, m3 = map_params(p0, p1), map_params(p1, p2), map_params(p2, p3)
+        left = m1.compose(m2).compose(m3)
+        right = m1.compose(m2.compose(m3))
+        direct = map_params(p0, p3)
+        assert (left.beta, left.gamma) == (right.beta, right.gamma) \
+            == (direct.beta, direct.gamma)
