@@ -61,7 +61,7 @@ class NoConvergence(NumericalError):
 
 
 class NotConverged(NumericalError):
-    """Grid-refinement drift exceeds the required bound."""
+    """Grid-refinement drift or an eigenpair residual exceeds its bound."""
 
 
 # --- metric / amplitudes -----------------------------------------------------

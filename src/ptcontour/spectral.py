@@ -1,4 +1,4 @@
-"""Grid discretization and dense eigensolvers for operator expressions.
+"""Grid discretization and banded eigensolvers for operator expressions.
 
 Position representation: x acts by multiplication and p = -i d/dx.
 Momentum representation: p is diagonal and x = +i d/dp, matching the
@@ -10,7 +10,8 @@ Comp. 51:699) with zero (Dirichlet) values beyond the grid ends, so the
 matrix of a term is one stencil scaled by rows (position) or by columns
 (momentum).  Unlike a power of the first-difference matrix, these stencils
 have no grid-scale sawtooth null modes: the lowest eigenpairs of the matrix
-are the physical ones.
+are the physical ones.  Matrices are stored as LAPACK band arrays of
+half-bandwidth at most 3, so the Hermitian solve costs O(n) time and memory.
 """
 from __future__ import annotations
 
@@ -24,6 +25,8 @@ from .opalg import ANCHOR, OperatorExpr
 from .reference import REFERENCE_DOMAIN, REFERENCE_GRID_SIZES
 
 _MAX_LEVELS = 12
+#: bound on ||A v - lambda v|| / max|A|; converged ~6e-16, missed level ~1e-9
+_RESIDUAL_BOUND = 1e-12
 
 #: centered 4th-order stencils of d^k, k -> (denominator, integer weights at
 #: offsets -r..r); the matrix entries are weight / (denominator * h^k)
@@ -69,37 +72,50 @@ def position_grid(extent: float, n: int = 1201) -> Grid:
     return Grid("position", -float(extent), float(extent), n)
 
 
-def derivative_matrix(n: int, h: float, order: int) -> np.ndarray:
-    """4th-order centered d^order; values beyond the ends are zero."""
-    if order not in _STENCILS:
-        raise ValueError(f"no derivative stencil of order {order}")
-    denom, weights = _STENCILS[order]
-    d = np.zeros((n, n))
-    for off, w in enumerate(weights, start=-(len(weights) // 2)):
-        np.fill_diagonal(d[max(-off, 0):, max(off, 0):], w)
-    return d / (denom * h ** order)
-
-
 def matrixize(a: OperatorExpr, grid: Grid) -> np.ndarray:
-    """Dense complex matrix of a normal-ordered operator on a grid."""
-    out = np.zeros((grid.n, grid.n), dtype=complex)
-    if a.is_zero():
-        return out
+    """Band of a normal-ordered operator on a grid, in ``solve_banded`` layout.
+
+    Shape (2u+1, n), u the widest stencil radius among the terms, with
+    ``ab[u + i - j, j] = A[i, j]``; each stencil weight goes straight into its
+    band row, scaled by the row point (position) or column point (momentum).
+    """
     maxdeg = a.degree()
     if grid.n < 4 * maxdeg:
         raise GridTooCoarse(
             f"n={grid.n} < 4 * degree={maxdeg} for this operator")
+    position = grid.variable == "position"
+    orders = [n if position else m for m, n in a.terms]
+    if not set(orders) <= _STENCILS.keys():
+        raise ValueError(f"no derivative stencil of order {max(orders)}")
+    u = max((len(_STENCILS[k][1]) // 2 for k in orders), default=0)
+    out = np.zeros((2 * u + 1, grid.n), dtype=complex)
     pts = grid.points()
     for (m, n), c in a.terms.items():
-        if grid.variable == "position":
-            # x^m (-i d/dx)^n: row scaling
-            d = derivative_matrix(grid.n, grid.spacing, n)
-            out += complex(c) * (-1j) ** n * (pts ** m)[:, None] * d
-        else:
-            # (i d/dp)^m p^n: column scaling
-            d = derivative_matrix(grid.n, grid.spacing, m)
-            out += complex(c) * 1j ** m * (pts ** n)[None, :] * d
+        # x^m (-i d/dx)^n scales rows; (i d/dp)^m p^n scales columns
+        k, scale = ((n, complex(c) * (-1j) ** n * pts ** m) if position else
+                    (m, complex(c) * 1j ** m * pts ** n))
+        denom, weights = _STENCILS[k]
+        step = denom * grid.spacing ** k
+        for off, w in enumerate(weights, start=-(len(weights) // 2)):
+            lo, hi = max(off, 0), grid.n + min(off, 0)   # columns j = i + off
+            shift = off if position else 0               # rows i = j - off
+            out[u - off, lo:hi] += scale[lo - shift:hi - shift] * (w / step)
     return out
+
+
+def _band_matmul(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x for A in ``solve_banded`` layout and x of shape (n, k)."""
+    u, n = ab.shape[0] // 2, ab.shape[1]
+    out = np.zeros(x.shape, dtype=np.result_type(ab, x))
+    for off in range(-u, u + 1):
+        lo, hi = max(off, 0), n + min(off, 0)       # columns j = i + off
+        out[lo - off:hi - off] += ab[u - off, lo:hi, None] * x[lo:hi]
+    return out
+
+
+def band_to_dense(ab: np.ndarray) -> np.ndarray:
+    """The n x n matrix of a band in ``solve_banded`` layout."""
+    return _band_matmul(ab, np.eye(ab.shape[1]))
 
 
 @dataclass(frozen=True)
@@ -145,59 +161,67 @@ def is_grid_artifact(v: np.ndarray) -> bool:
     return neighbor_correlation(v) < -0.5
 
 
-def hermitian_eigenpairs(mat: np.ndarray, k: int):
-    """Lowest k eigenpairs of a Hermitian grid matrix.
+def hermitian_eigenpairs(ab: np.ndarray, k: int):
+    """Lowest k eigenpairs (values, vectors in columns) of a Hermitian band.
 
-    Returns (values, vectors) with vectors in columns.  Vectors come out
-    real when the matrix is real symmetric.
+    Values from LAPACK's banded solver; each vector from two inverse-iteration
+    steps shifted just above its value, started from a ramp, since a constant
+    is orthogonal to the odd levels of a parity-symmetric operator.
     """
-    scale = np.abs(mat).max()
-    if np.abs(mat - mat.conj().T).max() >= 1e-10 * scale:
+    u, n = ab.shape[0] // 2, ab.shape[1]
+    scale = np.abs(ab).max()
+    defect = max(np.abs(ab[u - d, d:] - ab[u + d, :n - d].conj()).max()
+                 for d in range(u + 1))     # A[i, i+d] vs conj(A[i+d, i])
+    if defect >= 1e-10 * scale:
         raise NotHermitian("matrix fails the Hermiticity tolerance")
-    sym = mat.real if np.abs(mat.imag).max() == 0.0 else mat
-    return sla.eigh(sym, subset_by_index=(0, k - 1))
-
-
-def _residuals(mat, vals, vecs) -> tuple[float, ...]:
-    out = []
+    sym = ab if ab.imag.any() else ab.real
+    vals = sla.eig_banded(sym[:u + 1], eigvals_only=True, select="i",
+                          select_range=(0, k - 1))
+    vecs = np.empty((n, len(vals)), dtype=sym.dtype)
     for i, lam in enumerate(vals):
-        v = vecs[:, i]
-        out.append(float(np.linalg.norm(mat @ v - lam * v)
-                         / np.linalg.norm(v)))
-    return tuple(out)
+        shifted = sym.copy()
+        shifted[u] -= lam + 1e-10 * max(1.0, abs(lam))
+        vecs[:, i] = np.linspace(1.0, 2.0, n)
+        for _ in range(2):
+            v = sla.solve_banded((u, u), shifted, vecs[:, i])
+            vecs[:, i] = v / np.linalg.norm(v)
+    worst = max(_residuals(ab, vals, vecs))
+    if worst > _RESIDUAL_BOUND * scale:
+        raise NotConverged(f"eigenpair residual {worst:.3e} exceeds "
+                           f"{_RESIDUAL_BOUND} * max|A| = {scale:.3e}")
+    return vals, vecs
 
 
-def eigensolve_hermitian(mat: np.ndarray, k: int,
+def _residuals(ab, vals, vecs) -> tuple[float, ...]:
+    """||A v - lambda v|| / ||v|| for each column v of vecs."""
+    norms = (np.linalg.norm(_band_matmul(ab, vecs) - vecs * vals, axis=0)
+             / np.linalg.norm(vecs, axis=0))
+    return tuple(float(r) for r in norms)
+
+
+def eigensolve_hermitian(ab: np.ndarray, k: int,
                          grid: Grid | None = None) -> SpectrumResult:
-    """k smallest eigenvalues of a Hermitian matrix, with residuals."""
+    """k smallest eigenvalues of a Hermitian band, with residuals."""
     if k > _MAX_LEVELS:
         raise ValueError(f"at most {_MAX_LEVELS} eigenpairs are retained")
-    vals, vecs = hermitian_eigenpairs(mat, k)
-    return SpectrumResult(
-        eigenvalues=tuple(complex(v) for v in vals),
-        residual_norms=_residuals(mat, vals, vecs),
-        grid=grid,
-        method="eigh",
-    )
+    vals, vecs = hermitian_eigenpairs(ab, k)
+    return SpectrumResult(tuple(complex(v) for v in vals),
+                          _residuals(ab, vals, vecs), grid, "eig_banded")
 
 
-def eigensolve_general(mat: np.ndarray, k: int,
+def eigensolve_general(ab: np.ndarray, k: int,
                        grid: Grid | None = None) -> SpectrumResult:
-    """k eigenvalues of smallest real part of a general complex matrix."""
+    """k eigenvalues of least real part of a general band, by dense ``eig``."""
     if k > _MAX_LEVELS:
         raise ValueError(f"at most {_MAX_LEVELS} eigenpairs are retained")
     try:
-        vals, vecs = sla.eig(mat)
+        vals, vecs = sla.eig(band_to_dense(ab))
     except np.linalg.LinAlgError as exc:   # pragma: no cover - hardware path
         raise NoConvergence(str(exc)) from exc
     order = np.argsort(vals.real, kind="stable")[:k]
     vals, vecs = vals[order], vecs[:, order]
-    return SpectrumResult(
-        eigenvalues=tuple(complex(v) for v in vals),
-        residual_norms=_residuals(mat, vals, vecs),
-        grid=grid,
-        method="hessenberg-qr",
-    )
+    return SpectrumResult(tuple(complex(v) for v in vals),
+                          _residuals(ab, vals, vecs), grid, "hessenberg-qr")
 
 
 # ---------------------------------------------------------------------------

@@ -1,41 +1,10 @@
-"""Shared fixtures: session-scoped caches for the expensive eigensolves."""
+"""Shared fixtures: the oracle run and the wide adjacent-sector basis."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
 import ptcontour as pt
-
-
-@pytest.fixture(scope="session")
-def basis_cache():
-    """Memoized eigenbasis(params, k, grid) keyed on exact inputs."""
-    cache: dict = {}
-
-    def get(params, k=4, n=1201, grid=None):
-        key = (params, k, n, grid)
-        if key not in cache:
-            g = grid if grid is not None else pt.default_momentum_grid(params, n=n)
-            cache[key] = pt.eigenbasis(params, k, g)
-        return cache[key]
-
-    return get
-
-
-@pytest.fixture(scope="session")
-def spectrum_cache():
-    """Memoized lowest-k spectrum of the Hermitian equivalent of a contour."""
-    cache: dict = {}
-
-    def get(params, k=5, n=1201):
-        key = (params, k, n)
-        if key not in cache:
-            grid = pt.default_momentum_grid(params, n=n)
-            mat = pt.matrixize(pt.hermitize(params).h, grid)
-            cache[key] = pt.eigensolve_hermitian(mat, k, grid=grid)
-        return cache[key]
-
-    return get
 
 
 @pytest.fixture(scope="session")

@@ -79,14 +79,16 @@ def test_criterion_2_metric_pushforward_identities():
     _report("2 metric-pushforward", count == 20, f"{count} ordered pairs")
 
 
-def test_criterion_3_oracle_and_contour_spectra(oracle_levels, spectrum_cache):
+def test_criterion_3_oracle_and_contour_spectra(oracle_levels):
     # oracle_spectrum enforces extrapolated successive-grid drift < 1e-7
     # internally; reaching this point means the gate passed
     frozen = np.array(pt.REFERENCE_LEVELS[:5])
     ok = bool(np.abs(oracle_levels - frozen).max() < 1e-9)
     worst = 0.0
     for params in STANDARD_FIVE:
-        got = spectrum_cache(params, k=5).real_parts()
+        grid = pt.default_momentum_grid(params)
+        got = pt.eigensolve_hermitian(pt.matrixize(pt.hermitize(params).h,
+                                                   grid), 5).real_parts()
         worst = max(worst, float((np.abs(got - frozen) / frozen).max()))
     ok = ok and worst < 1e-5
     _report("3 oracle-spectrum", ok,

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from ptcontour.cli import main, parse_complex, parse_contour
-from ptcontour.errors import NotConverged, ParseError
+from ptcontour.errors import NotConverged, ParseError, PushforwardMismatch
+from ptcontour.opalg import ANCHOR_PARITY, SwapResult
 from ptcontour.rational import GaussianRational as Q
 
 
@@ -69,6 +70,32 @@ def test_algebra_verify(tmp_path, capsys):
     payload = read_json(tmp_path, "algebra_verify.json")
     assert payload["all_passed"] is True
     assert len(payload["checks"]) >= 17
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("target,patch,failing", [
+    ("canonical_swap", lambda h, params: SwapResult(ANCHOR_PARITY, True),
+     "anchor-reduction"),
+    ("canonical_swap", _raise(ValueError("neither anchor form")),
+     "anchor-reduction"),
+    ("push_metric", _raise(PushforwardMismatch("transported != direct")),
+     "metric-pushforward-identities"),
+], ids=["parity-flipped", "swap-raises", "pushforward-mismatch"])
+def test_algebra_verify_records_failures(tmp_path, capsys, monkeypatch,
+                                         target, patch, failing):
+    import ptcontour.cli as cli
+    monkeypatch.setattr(cli, target, patch)
+    assert run_cli(tmp_path, "algebra-verify") != 0
+    assert f"FAIL  {failing}" in capsys.readouterr().out
+    payload = read_json(tmp_path, "algebra_verify.json")
+    assert payload["all_passed"] is False
+    failed = [c["name"] for c in payload["checks"] if not c["passed"]]
+    assert failed and all(name.startswith(failing) for name in failed)
 
 
 def test_spectrum_b_independence(tmp_path, capsys):
@@ -220,6 +247,17 @@ def test_exit_code_numerical_error(tmp_path, capsys, monkeypatch):
     assert code == 3
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["kind"] == "numerical"
+
+
+def test_exit_code_residual_gate(tmp_path, capsys, monkeypatch):
+    import ptcontour.spectral as spectral
+    monkeypatch.setattr(spectral, "_RESIDUAL_BOUND", 1e-30)
+    code = main(["spectrum", "--a", "i", "--b", "1", "--c", "1",
+                 "--levels", "2", "--grid-n", "401", "--out", str(tmp_path)])
+    assert code == 3
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["type"] == "NotConverged"
+    assert "residual" in err["error"]["message"]
 
 
 def test_console_entry_point(tmp_path):

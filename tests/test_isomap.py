@@ -9,9 +9,12 @@ from ptcontour.catalog import (ADJACENT, LOWER_PT, LOWER_PT_B5, SQRT_IX,
 from ptcontour.errors import PushforwardMismatch
 from ptcontour.isomap import (IsoMap, map_params, push_metric, push_wavefn,
                               verify_isometry)
-from ptcontour.metric import amplitude, amplitude_matrix, metric_of
+from ptcontour.metric import (amplitude, amplitude_matrix,
+                              default_momentum_grid, eigenbasis, metric_of)
+from ptcontour.opalg import hermitize
 from ptcontour.rational import GaussianRational as Q
 from ptcontour.reference import REFERENCE_LEVELS
+from ptcontour.spectral import eigensolve_hermitian, matrixize
 
 
 # --- map parameters ---------------------------------------------------------
@@ -93,17 +96,17 @@ def test_push_metric_functorial():
 
 # --- wavefunction transport ------------------------------------------------------
 
-def test_push_wavefn_identity(basis_cache):
-    u = basis_cache(LOWER_PT, k=1)[0]
+def test_push_wavefn_identity():
+    u = eigenbasis(LOWER_PT, 1, default_momentum_grid(LOWER_PT))[0]
     pushed = push_wavefn(map_params(LOWER_PT, LOWER_PT), u)
     assert pushed.grid == u.grid
     assert pushed.exponent == u.exponent
     assert np.abs(pushed.factor - u.factor).max() < 1e-15
 
 
-def test_push_wavefn_exponent_transport(basis_cache):
+def test_push_wavefn_exponent_transport():
     # beta = 4, gamma = 3/4 carries -(2/3)p^3 + p onto -(1/96)p^3 + p exactly
-    u = basis_cache(UPPER_PT, k=1)[0]
+    u = eigenbasis(UPPER_PT, 1, default_momentum_grid(UPPER_PT))[0]
     assert u.exponent == (Fraction(0), Fraction(1), Fraction(0),
                           Fraction(-2, 3))
     pushed = push_wavefn(map_params(UPPER_PT, LOWER_PT), u)
@@ -111,8 +114,8 @@ def test_push_wavefn_exponent_transport(basis_cache):
                                Fraction(-1, 96))
 
 
-def test_push_wavefn_negative_beta_parity_fold(basis_cache):
-    u = basis_cache(ADJACENT, k=1)[0]
+def test_push_wavefn_negative_beta_parity_fold():
+    u = eigenbasis(ADJACENT, 1, default_momentum_grid(ADJACENT))[0]
     pushed = push_wavefn(map_params(ADJACENT, LOWER_PT), u)   # beta = -4
     scale = 2.0                                               # |beta|^(1/2)
     assert np.abs(pushed.factor - u.factor[::-1] / scale).max() < 1e-15
@@ -122,8 +125,8 @@ def test_push_wavefn_negative_beta_parity_fold(basis_cache):
                                Fraction(-1, 96))
 
 
-def test_push_wavefn_norm_preserved(basis_cache):
-    u = basis_cache(UPPER_PT, k=1)[0]
+def test_push_wavefn_norm_preserved():
+    u = eigenbasis(UPPER_PT, 1, default_momentum_grid(UPPER_PT))[0]
     m = map_params(UPPER_PT, LOWER_PT)
     pushed = push_wavefn(m, u)
     val = amplitude(pushed, pushed, metric_of(LOWER_PT))
@@ -149,9 +152,11 @@ def test_isometry_report_fields():
     assert len(obj["amplitude_tables"]["src"]) == 2
 
 
-def test_spectrum_invariance_across_contours(spectrum_cache):
+def test_spectrum_invariance_across_contours():
     # the Hermitian equivalents of every matrix contour share one spectrum
     ref = np.array(REFERENCE_LEVELS[:5])
     for params in STANDARD_FIVE:
-        got = spectrum_cache(params, k=5).real_parts()
+        grid = default_momentum_grid(params)
+        got = eigensolve_hermitian(matrixize(hermitize(params).h, grid),
+                                   5).real_parts()
         assert (np.abs(got - ref) / ref).max() < 1e-5

@@ -73,8 +73,8 @@ def test_simpson_rejects_even_count():
 
 # --- eigenbasis ----------------------------------------------------------------------
 
-def test_eigenbasis_exponent_reference(basis_cache):
-    basis = basis_cache(LOWER_PT, k=3)
+def test_eigenbasis_exponent_reference():
+    basis = eigenbasis(LOWER_PT, 3, default_momentum_grid(LOWER_PT))
     assert len(basis) == 3
     for u in basis:
         # -(f p^3 + g p) with f = 1/96, g = -1
@@ -82,22 +82,22 @@ def test_eigenbasis_exponent_reference(basis_cache):
                               Fraction(-1, 96))
 
 
-def test_eigenbasis_exponent_adjacent(basis_cache):
-    u = basis_cache(ADJACENT, k=1)[0]
+def test_eigenbasis_exponent_adjacent():
+    u = eigenbasis(ADJACENT, 1, default_momentum_grid(ADJACENT))[0]
     assert u.exponent == (Fraction(0), Fraction(1), Fraction(0),
                           Fraction(2, 3))
 
 
-def test_eigenbasis_factor_norms(basis_cache):
+def test_eigenbasis_factor_norms():
     for params in (LOWER_PT, UPPER_PT, ADJACENT):
-        for u in basis_cache(params, k=3):
+        for u in eigenbasis(params, 3, default_momentum_grid(params)):
             w = simpson_weights(u.grid.n, u.grid.spacing)
             norm = float(np.sum(w * np.abs(u.factor) ** 2))
             assert abs(norm - 1.0) < 1e-10
 
 
-def test_eigenbasis_phase_convention(basis_cache):
-    for u in basis_cache(LOWER_PT, k=3):
+def test_eigenbasis_phase_convention():
+    for u in eigenbasis(LOWER_PT, 3, default_momentum_grid(LOWER_PT)):
         peak = u.factor[int(np.argmax(np.abs(u.factor)))]
         assert peak.real > 0 and abs(peak.imag) == 0
 
@@ -109,27 +109,27 @@ def test_eigenbasis_requires_momentum_grid():
 
 # --- amplitudes -------------------------------------------------------------------
 
-def test_amplitude_normalization(basis_cache):
-    basis = basis_cache(LOWER_PT, k=2)
+def test_amplitude_normalization():
+    basis = eigenbasis(LOWER_PT, 2, default_momentum_grid(LOWER_PT))
     eta = metric_of(LOWER_PT)
     assert abs(amplitude(basis[0], basis[0], eta) - 1.0) < 1e-12
 
 
-def test_amplitude_orthogonality(basis_cache):
-    basis = basis_cache(LOWER_PT, k=2)
+def test_amplitude_orthogonality():
+    basis = eigenbasis(LOWER_PT, 2, default_momentum_grid(LOWER_PT))
     eta = metric_of(LOWER_PT)
     assert abs(amplitude(basis[0], basis[1], eta)) < 1e-8
 
 
-def test_amplitude_matrix_identity_for_every_contour(basis_cache):
+def test_amplitude_matrix_identity_for_every_contour():
     for params in STANDARD_FIVE:
-        basis = basis_cache(params, k=4)
+        basis = eigenbasis(params, 4, default_momentum_grid(params))
         mat = amplitude_matrix(basis, metric_of(params))
         assert np.abs(mat - np.eye(4)).max() < 1e-8
 
 
-def test_amplitude_conjugate_symmetry(basis_cache):
-    basis = basis_cache(UPPER_PT, k=3)
+def test_amplitude_conjugate_symmetry():
+    basis = eigenbasis(UPPER_PT, 3, default_momentum_grid(UPPER_PT))
     eta = metric_of(UPPER_PT)
     for i in range(3):
         for j in range(3):
@@ -138,11 +138,11 @@ def test_amplitude_conjugate_symmetry(basis_cache):
             assert abs(a_ij - np.conj(a_ji)) < 1e-12
 
 
-def test_amplitude_exponent_cancellation_is_exact(basis_cache):
+def test_amplitude_exponent_cancellation_is_exact():
     # matched contour/metric pairs reduce to the combined exponent (0,0,0,0)
     from ptcontour.metric import _combined_exponent
     for params in STANDARD_FIVE:
-        u = basis_cache(params, k=1)[0]
+        u = eigenbasis(params, 1, default_momentum_grid(params))[0]
         combined = _combined_exponent(u, u, metric_of(params))
         assert all(c == 0 for c in combined)
 
@@ -178,9 +178,9 @@ def test_amplitude_nonzero_exponent_small_case(wide_adjacent_basis):
     assert abs(val.real - trapz) / trapz < 1e-3
 
 
-def test_amplitude_requires_shared_grid(basis_cache):
-    a = basis_cache(LOWER_PT, k=1)[0]
-    b = basis_cache(UPPER_PT, k=1)[0]
+def test_amplitude_requires_shared_grid():
+    a = eigenbasis(LOWER_PT, 1, default_momentum_grid(LOWER_PT))[0]
+    b = eigenbasis(UPPER_PT, 1, default_momentum_grid(UPPER_PT))[0]
     with pytest.raises(ValueError):
         amplitude(a, b, metric_of(LOWER_PT))
 

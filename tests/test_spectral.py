@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,18 +7,48 @@ import pytest
 
 from ptcontour.catalog import LOWER_PT, STANDARD_FIVE
 from ptcontour.errors import GridTooCoarse, NotConverged, NotHermitian
-from ptcontour.metric import default_momentum_grid
+from ptcontour.metric import default_momentum_grid, eigenbasis
 from ptcontour.opalg import (ANCHOR, ANCHOR_PARITY, ContourParams,
                              OperatorExpr, build_h1, hermitize)
 from ptcontour.rational import GaussianRational as Q
 from ptcontour.reference import REFERENCE_LEVELS
-from ptcontour.spectral import (Grid, derivative_matrix, eigensolve_general,
-                                eigensolve_hermitian, hermitian_eigenpairs,
-                                is_grid_artifact, matrixize,
-                                neighbor_correlation, oracle_spectrum)
+from ptcontour.spectral import (_STENCILS, Grid, band_to_dense,
+                                eigensolve_general, eigensolve_hermitian,
+                                hermitian_eigenpairs, is_grid_artifact,
+                                matrixize, neighbor_correlation,
+                                oracle_spectrum)
 
 OSC_MINUS_ONE = OperatorExpr({(0, 2): Q(1), (2, 0): Q(1), (0, 0): Q(-1)})
 OSC = OperatorExpr({(0, 2): Q(1), (2, 0): Q(1)})
+
+
+def derivative_matrix(n: int, h: float, order: int) -> np.ndarray:
+    """Reference: dense 4th-order centered d^order, zero beyond the ends."""
+    denom, weights = _STENCILS[order]
+    d = np.zeros((n, n))
+    for off, w in enumerate(weights, start=-(len(weights) // 2)):
+        np.fill_diagonal(d[max(-off, 0):, max(off, 0):], w)
+    return d / (denom * h ** order)
+
+
+def dense_matrixize(a: OperatorExpr, grid: Grid) -> np.ndarray:
+    """Reference: the operator's dense n x n matrix, one term at a time."""
+    out = np.zeros((grid.n, grid.n), dtype=complex)
+    pts = grid.points()
+    for (m, n), c in a.terms.items():
+        if grid.variable == "position":
+            d = derivative_matrix(grid.n, grid.spacing, n)
+            out += complex(c) * (-1j) ** n * (pts ** m)[:, None] * d
+        else:
+            d = derivative_matrix(grid.n, grid.spacing, m)
+            out += complex(c) * 1j ** m * (pts ** n)[None, :] * d
+    return out
+
+
+def contour_spectrum(params, k=5, n=1201):
+    grid = default_momentum_grid(params, n=n)
+    return eigensolve_hermitian(matrixize(hermitize(params).h, grid), k,
+                                grid=grid)
 
 
 # --- grid -------------------------------------------------------------------
@@ -39,7 +70,7 @@ def test_grid_validation():
 
 def test_matrixize_x_on_momentum_grid_is_antisymmetric_stencil():
     g = Grid("momentum", -1.0, 1.0, 33)
-    mat = matrixize(OperatorExpr.x(), g)
+    mat = band_to_dense(matrixize(OperatorExpr.x(), g))
     expected = 1j * derivative_matrix(33, g.spacing, 1)
     assert np.abs(mat - expected).max() == 0.0
     assert np.abs(mat + mat.T).max() == 0.0       # antisymmetric stencil
@@ -48,9 +79,11 @@ def test_matrixize_x_on_momentum_grid_is_antisymmetric_stencil():
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_derivative_matrix_exact_on_polynomials(order):
     # 4th-order centered stencils differentiate degree <= order + 3 exactly
-    n, h = 41, 0.125
-    z = (np.arange(n) - n // 2) * h
-    d = derivative_matrix(n, h, order)
+    # on a position grid p^k = (-i d/dx)^k, so d^k = i^k p^k
+    g = Grid("position", -2.5, 2.5, 41)
+    n, z = g.n, g.points()
+    d = 1j ** order * band_to_dense(
+        matrixize(OperatorExpr.monomial(0, order), g))
     interior = slice(3, n - 3)
     for deg in range(order + 4):
         exact = (np.zeros(n) if deg < order else
@@ -61,7 +94,7 @@ def test_derivative_matrix_exact_on_polynomials(order):
 
 def test_matrixize_ix_is_anti_hermitian():
     g = Grid("position", -1.0, 1.0, 33)
-    mat = matrixize(OperatorExpr.monomial(1, 0, Q(0, 1)), g)
+    mat = band_to_dense(matrixize(OperatorExpr.monomial(1, 0, Q(0, 1)), g))
     assert np.abs(mat + mat.conj().T).max() < 1e-15
 
 
@@ -77,9 +110,9 @@ def test_matrixize_is_linear():
 def test_matrixize_respects_operator_order():
     # x p and p x differ by the commutator; their matrices must differ too
     g = Grid("position", -2.0, 2.0, 33)
-    xp = matrixize(OperatorExpr({(1, 1): Q(1)}), g)
+    xp = band_to_dense(matrixize(OperatorExpr({(1, 1): Q(1)}), g))
     px_expr = OperatorExpr({(1, 1): Q(1), (0, 0): Q(0, -1)})   # p x normal-ordered
-    px = matrixize(px_expr, g)
+    px = band_to_dense(matrixize(px_expr, g))
     assert np.abs(xp - px - 1j * np.eye(33)).max() < 1e-14
 
 
@@ -87,6 +120,27 @@ def test_matrixize_grid_too_coarse():
     g = Grid("position", -1.0, 1.0, 17)
     with pytest.raises(GridTooCoarse):
         matrixize(OperatorExpr.monomial(5, 0), g)
+
+
+@pytest.mark.parametrize("variable,term", [("position", (0, 5)),
+                                           ("momentum", (5, 0))])
+def test_matrixize_rejects_derivative_without_stencil(variable, term):
+    with pytest.raises(ValueError, match="no derivative stencil of order 5"):
+        matrixize(OperatorExpr({term: Q(1)}), Grid(variable, -1.0, 1.0, 33))
+
+
+def test_band_equals_dense_reference_exactly():
+    cases = [(ANCHOR, Grid("position", -6.0, 6.0, 401)),
+             (ANCHOR_PARITY, Grid("position", -6.0, 6.0, 401))]
+    for p in STANDARD_FIVE:
+        g = default_momentum_grid(p, n=401)
+        cases += [(hermitize(p).h, g), (build_h1(p), g)]
+    for op, g in cases:
+        ab = matrixize(op, g)
+        dense = dense_matrixize(op, g)
+        assert ab.shape == (5, g.n)
+        assert np.array_equal(band_to_dense(ab), dense)
+        assert np.count_nonzero(ab) == np.count_nonzero(dense)
 
 
 # --- hermitian eigensolve -------------------------------------------------------
@@ -111,13 +165,27 @@ def test_oscillator_odd_levels():
     g = Grid("position", -10.0, 10.0, 801)
     res = eigensolve_hermitian(matrixize(OSC, g), 6, grid=g)
     assert np.abs(res.real_parts() - np.arange(1.0, 13.0, 2.0)).max() < 2e-5
+    # a constant start vector is orthogonal to the odd levels and leaves
+    # residuals near 1e-5 on them; the ramp start reaches ~3e-12
+    assert max(res.residual_norms[1::2]) < 1e-10
+
+
+def test_oscillator_with_linear_momentum_term():
+    # p^2 + p + x^2 = (p + 1/2)^2 + x^2 - 1/4: a complex Hermitian band
+    g = Grid("position", -10.0, 10.0, 801)
+    op = OperatorExpr({(0, 2): Q(1), (0, 1): Q(1), (2, 0): Q(1)})
+    res = eigensolve_hermitian(matrixize(op, g), 4, grid=g)
+    assert np.abs(res.real_parts() - (np.arange(1.0, 9.0, 2.0) - 0.25)).max() \
+        < 1e-4
+    assert max(res.residual_norms) < 1e-10
 
 
 def test_not_hermitian_rejected():
+    # xp is not Hermitian; i x^2 is symmetric but not Hermitian
     g = Grid("position", -2.0, 2.0, 33)
-    mat = matrixize(OperatorExpr({(1, 1): Q(1)}), g)    # xp is not Hermitian
-    with pytest.raises(NotHermitian):
-        eigensolve_hermitian(mat, 3)
+    for op in (OperatorExpr({(1, 1): Q(1)}), OperatorExpr({(2, 0): Q(0, 1)})):
+        with pytest.raises(NotHermitian):
+            eigensolve_hermitian(matrixize(op, g), 3)
 
 
 def test_retained_count_capped():
@@ -137,9 +205,9 @@ def test_no_retained_vector_is_grid_artifact():
 
 
 @pytest.mark.parametrize("t", [Fraction(1, 1000), Fraction(1, 10), 10, 1000])
-def test_extreme_a2c_matches_reference(spectrum_cache, t):
+def test_extreme_a2c_matches_reference(t):
     # |a^2 c| = t spans six decades; the 4|a^2 c| grid half-width keeps up
-    res = spectrum_cache(ContourParams(a=Q(1), b=Q(t), c=Q(t)), k=5)
+    res = contour_spectrum(ContourParams(a=Q(1), b=Q(t), c=Q(t)))
     rel = np.abs(res.real_parts() - np.array(REFERENCE_LEVELS[:5])) \
         / np.array(REFERENCE_LEVELS[:5])
     assert rel.max() < 1e-5
@@ -152,18 +220,46 @@ def test_artifact_filter_flags_sawtooth():
     assert neighbor_correlation(sawtooth) < -0.9
 
 
-def test_momentum_representation_matches_reference(spectrum_cache):
-    res = spectrum_cache(LOWER_PT, k=5)
+def test_momentum_representation_matches_reference():
+    res = contour_spectrum(LOWER_PT)
     rel = np.abs(res.real_parts() - np.array(REFERENCE_LEVELS[:5])) \
         / np.array(REFERENCE_LEVELS[:5])
     assert rel.max() < 1e-5
     assert max(res.residual_norms) < 1e-8
+    assert res.method == "eig_banded"
+
+
+def test_residual_gate_wired(monkeypatch):
+    import ptcontour.spectral as spectral
+    monkeypatch.setattr(spectral, "_RESIDUAL_BOUND", 1e-30)
+    g = Grid("position", -10.0, 10.0, 201)
+    with pytest.raises(NotConverged, match="residual"):
+        eigensolve_hermitian(matrixize(OSC, g), 3, grid=g)
+    with pytest.raises(NotConverged, match="residual"):
+        eigenbasis(LOWER_PT, 2, default_momentum_grid(LOWER_PT, n=201))
+
+
+def test_hermitian_solve_memory_is_linear_in_n():
+    # one dense real n x n matrix at n = 4001 takes 128 MB
+    g = default_momentum_grid(LOWER_PT, n=4001)
+    h = hermitize(LOWER_PT).h
+    tracemalloc.start()
+    try:
+        res = eigensolve_hermitian(matrixize(h, g), 5, grid=g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    rel = np.abs(res.real_parts() - np.array(REFERENCE_LEVELS[:5])) \
+        / np.array(REFERENCE_LEVELS[:5])
+    assert rel.max() < 1e-5
 
 
 # --- general eigensolve ------------------------------------------------------------
 
 def test_general_solver_diagonal():
-    res = eigensolve_general(np.diag([3.0, 1.0, 2.0]).astype(complex), 3)
+    # a band of half-bandwidth 0 holds just the diagonal
+    res = eigensolve_general(np.array([[3.0, 1.0, 2.0]], dtype=complex), 3)
     assert np.allclose(res.real_parts(), [1.0, 2.0, 3.0])
     assert all(abs(e.imag) == 0 for e in res.eigenvalues)
 
