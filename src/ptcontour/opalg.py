@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 from typing import Mapping, NamedTuple
 
@@ -108,11 +109,7 @@ class OperatorExpr:
             return NotImplemented
         out = dict(self._terms)
         for k, c in other._terms.items():
-            s = out.get(k, GaussianRational(0)) + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+            out[k] = out[k] + c if k in out else c
         return OperatorExpr(out)
 
     def __sub__(self, other):
@@ -230,44 +227,51 @@ class ContourParams:
 # core operations
 # ---------------------------------------------------------------------------
 
-def _reorder_p_x(n: int, m: int) -> OperatorExpr:
-    """Normal-order p^n x^m: sum_k (-i)^k k! C(n,k) C(m,k) x^(m-k) p^(n-k)."""
-    terms = {}
-    for k in range(min(n, m) + 1):
-        c = _MINUS_I_POW[k % 4] * (factorial(k) * comb(n, k) * comb(m, k))
-        terms[(m - k, n - k)] = c
-    return OperatorExpr(terms)
+@cache
+def _reorder_p_x(n: int, m: int) -> tuple:
+    """Normal-order p^n x^m: sum_k (-i)^k k! C(n,k) C(m,k) x^(m-k) p^(n-k),
+    as an immutable table of ``((m - k, n - k), coefficient)``, k ascending."""
+    return tuple(((m - k, n - k),
+                  _MINUS_I_POW[k % 4] * (factorial(k) * comb(n, k) * comb(m, k)))
+                 for k in range(min(n, m) + 1))
+
+
+def _add_products(out: dict, a: OperatorExpr, b: OperatorExpr,
+                  first: int = 0) -> dict:
+    """Add into ``out`` the terms of ab from reordering order k = first on;
+    zero sums stay there until an :class:`OperatorExpr` drops them."""
+    for (m1, n1), c1 in a._terms.items():
+        for (m2, n2), c2 in b._terms.items():
+            if min(n1, m2) < first:         # no reordering term of order >= first
+                continue
+            c = c1 * c2
+            # x^m1 p^n1 x^m2 p^n2 = x^m1 (p^n1 x^m2) p^n2
+            for (mm, nn), w in _reorder_p_x(n1, m2)[first:]:
+                key = (m1 + mm, nn + n2)
+                out[key] = out[key] + c * w if key in out else c * w
+    return out
 
 
 def multiply(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
     """Normal-ordered product of two operators."""
-    out: dict[tuple[int, int], GaussianRational] = {}
-    for (m1, n1), c1 in a._terms.items():
-        for (m2, n2), c2 in b._terms.items():
-            c = c1 * c2
-            # x^m1 p^n1 x^m2 p^n2 = x^m1 (p^n1 x^m2) p^n2
-            for (mm, nn), w in _reorder_p_x(n1, m2)._terms.items():
-                key = (m1 + mm, nn + n2)
-                s = out.get(key, GaussianRational(0)) + c * w
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-    return OperatorExpr(out)
+    return OperatorExpr(_add_products({}, a, b))
 
 
 def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
-    """[a, b] = ab - ba, normal ordered."""
-    return multiply(a, b) - multiply(b, a)
+    """[a, b] = ab - ba, normal ordered.  The k = 0 reordering terms of ab and
+    ba are the same, c1 c2 x^(m1+m2) p^(n1+n2), so only k >= 1 is summed."""
+    out = _add_products({}, a, b, first=1)
+    return OperatorExpr(_add_products(out, b, -a, first=1))
 
 
 def adjoint(a: OperatorExpr) -> OperatorExpr:
     """Formal adjoint: reverse each monomial, conjugate the coefficient."""
-    out = OperatorExpr.zero()
+    out: dict[tuple[int, int], GaussianRational] = {}
     for (m, n), c in a._terms.items():
         # (x^m p^n)^dagger = p^n x^m, reordered
-        out = out + _reorder_p_x(n, m).scale(c.conjugate())
-    return out
+        _add_products(out, OperatorExpr.monomial(0, n, c.conjugate()),
+                      OperatorExpr.monomial(m, 0))
+    return OperatorExpr(out)
 
 
 def is_hermitian(a: OperatorExpr) -> bool:

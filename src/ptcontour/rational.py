@@ -24,8 +24,8 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -76,7 +76,7 @@ class GaussianRational:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussianRational else self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         return GaussianRational(self.re + o.re, self.im + o.im)
@@ -99,9 +99,11 @@ class GaussianRational:
         return GaussianRational(-self.re, -self.im)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussianRational else self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        if not o.im:            # real factor: skip the products with zero
+            return GaussianRational(self.re * o.re, self.im * o.re)
         return GaussianRational(self.re * o.re - self.im * o.im,
                                 self.re * o.im + self.im * o.re)
 

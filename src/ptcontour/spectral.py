@@ -11,14 +11,17 @@ matrix of a term is one stencil scaled by rows (position) or by columns
 (momentum).  Unlike a power of the first-difference matrix, these stencils
 have no grid-scale sawtooth null modes: the lowest eigenpairs of the matrix
 are the physical ones.  Matrices are stored as LAPACK band arrays of
-half-bandwidth at most 3, so the Hermitian solve costs O(n) time and memory.
+half-bandwidth u at most 3, so storage and the eigenvectors (banded inverse
+iteration) cost O(n).  The eigenvalues come from LAPACK's ``?sbevx``, whose
+band-to-tridiagonal reduction costs O(n^2 u) and is the largest cost of a
+spectrum.  ``scipy.linalg`` is imported at the first solve, so that commands
+which solve nothing do not load it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import GridTooCoarse, NoConvergence, NotConverged, NotHermitian
 from .opalg import ANCHOR, OperatorExpr
@@ -168,6 +171,9 @@ def hermitian_eigenpairs(ab: np.ndarray, k: int):
     steps shifted just above its value, started from a ramp, since a constant
     is orthogonal to the odd levels of a parity-symmetric operator.
     """
+    import scipy.linalg as sla
+    if k < 1:
+        raise ValueError(f"the level count must be at least 1, got {k}")
     u, n = ab.shape[0] // 2, ab.shape[1]
     scale = np.abs(ab).max()
     defect = max(np.abs(ab[u - d, d:] - ab[u + d, :n - d].conj()).max()
@@ -212,6 +218,7 @@ def eigensolve_hermitian(ab: np.ndarray, k: int,
 def eigensolve_general(ab: np.ndarray, k: int,
                        grid: Grid | None = None) -> SpectrumResult:
     """k eigenvalues of least real part of a general band, by dense ``eig``."""
+    import scipy.linalg as sla
     if k > _MAX_LEVELS:
         raise ValueError(f"at most {_MAX_LEVELS} eigenpairs are retained")
     try:

@@ -237,6 +237,17 @@ def test_exit_code_validation_error(tmp_path, capsys):
     assert err["error"]["type"] == "NotHermitizable"
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--a", "-2i", "--b", "1", "--c", "1", "--levels", "0"],
+    ["iso-check", "--src", "1,1,1", "--dst", "-2i,1,1", "-k", "0"],
+], ids=lambda argv: argv[0])
+def test_exit_code_zero_levels(tmp_path, capsys, argv):
+    assert main([*argv, "--grid-n", "401", "--out", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "ValueError"
+    assert err["message"] == "the level count must be at least 1, got 0"
+
+
 def test_exit_code_numerical_error(tmp_path, capsys, monkeypatch):
     import ptcontour.cli as cli
     monkeypatch.setattr(cli, "_spectrum_payload",

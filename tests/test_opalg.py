@@ -18,9 +18,9 @@ from ptcontour.catalog import (ADJACENT, LOWER_PT, LOWER_PT_B5, SQRT_IX,
                                STANDARD_FIVE, UPPER_PT)
 from ptcontour.opalg import (ANCHOR, ANCHOR_PARITY, ContourParams,
                              OperatorExpr, adjoint, bch_conjugate, build_h1,
-                             canonical_swap, commutator, dyson_coefficients,
-                             hermitian_form, hermitize, is_hermitian,
-                             multiply, substitute_linear)
+                             _reorder_p_x, canonical_swap, commutator,
+                             dyson_coefficients, hermitian_form, hermitize,
+                             is_hermitian, multiply, substitute_linear)
 from ptcontour.rational import GaussianRational as Q
 
 X = OperatorExpr.x()
@@ -102,6 +102,23 @@ def test_multiply_bilinear_and_associative():
         assert multiply(a.scale(s) + b, c) == multiply(a, c).scale(s) + multiply(b, c)
 
 
+def test_reordering_table_is_immutable():
+    table = _reorder_p_x(2, 3)
+    with pytest.raises(TypeError):
+        table[0] = ((5, 5), Q(7))
+    with pytest.raises(TypeError):
+        table[1][0][0] = 9
+    with pytest.raises(AttributeError):
+        table[2][1].re = Fraction(7)
+    assert _reorder_p_x(2, 3) is table
+    # p^2 x^3 = x^3 p^2 - 6i x^2 p - 6x, before and after the attempts
+    p2, x3 = P * P, X * X * X
+    got = multiply(p2, x3)
+    assert got == op({(3, 2): 1, (2, 1): (0, -6), (1, 0): -6})
+    assert_matches_oracle(got, p2, x3)
+    assert multiply(p2, x3 + X) == got + op({(1, 2): 1, (0, 1): (0, -2)})
+
+
 # --- commutator ----------------------------------------------------------------
 
 def test_commutator_defining_relation():
@@ -127,6 +144,39 @@ def test_commutator_generator_with_x():
     s = op({(0, 3): f, (0, 1): g})
     expected = OperatorExpr({(0, 2): Q(0, -3 * f), (0, 0): Q(0, -g)})
     assert commutator(s, X) == expected
+
+
+def test_commutator_equals_difference_of_products():
+    # commutator sums only the reordering terms that do not cancel; term for
+    # term it must equal ab - ba, also where the two products cancel
+    rng = random.Random(20261018)
+
+    def scalar():
+        return Q(Fraction(rng.randint(-4, 4), rng.randint(1, 5)),
+                 Fraction(rng.randint(-4, 4), rng.randint(1, 5)))
+
+    def draw(degree=4, x_max=4, p_max=4):
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            m = rng.randint(0, min(x_max, degree))
+            terms[(m, rng.randint(0, min(p_max, degree - m)))] = scalar()
+        return OperatorExpr(terms)
+
+    zero = 0
+    for case in range(300):
+        a = draw()
+        b = (draw(), draw(), a, a.scale(scalar()) + ONE.scale(scalar()))[case % 4]
+        if case % 5 == 3:
+            a = draw(degree=2)
+            b = multiply(a, a)
+        elif case % 5 == 4:
+            a, b = (draw(x_max=0), draw(x_max=0)) if case % 2 else \
+                (draw(p_max=0), draw(p_max=0))
+        got = commutator(a, b)
+        assert got.terms == (multiply(a, b) - multiply(b, a)).terms
+        assert all(not c.is_zero() for c in got.terms.values())
+        zero += got.is_zero()
+    assert 100 < zero < 250     # both kinds of pair are well represented
 
 
 def test_commutator_antisymmetry_and_jacobi():

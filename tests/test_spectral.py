@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -324,3 +326,16 @@ def test_grid_refinement_monotonicity():
             drifts.append(np.abs(vals - prev))
         prev = vals
     assert np.all(drifts[1] < drifts[0])
+
+
+def test_scipy_linalg_loads_at_the_first_solve():
+    code = "\n".join([
+        "import sys, ptcontour, ptcontour.cli",
+        "assert 'scipy.linalg' not in sys.modules",
+        "grid = ptcontour.Grid('position', -6.0, 6.0, 101)",
+        "ptcontour.eigensolve_hermitian(ptcontour.matrixize(ptcontour.ANCHOR, grid), 1)",
+        "assert 'scipy.linalg' in sys.modules",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
