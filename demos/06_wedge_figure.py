@@ -35,5 +35,5 @@ for label, params, dashed in contours:
     print(f"{label:26s} {f'{rep.wedge_minus},{rep.wedge_plus}':>10s} "
           f"{str(rep.adjacent):>9s} {str(rep.pt_symmetric):>10s}")
 
-path = wedge_figure(out / "wedges_all.svg", traces, radius=4.0)
+path = wedge_figure(out / "wedges_all.svg", traces)
 print(f"\nfigure written to {path}")

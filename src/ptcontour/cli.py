@@ -21,7 +21,7 @@ from pathlib import Path
 from . import catalog, reference
 from .contour import polyline, wedge_report
 from .errors import (NumericalError, ParseError, PtContourError,
-                     PushforwardMismatch)
+                     PushforwardMismatch, ValidationError)
 from .isomap import map_params, push_metric, verify_isometry
 from .jsonio import canonical_dumps, write_csv, write_json
 from .metric import (default_momentum_grid, exact_hermite_norm, hermite_demo,
@@ -72,20 +72,24 @@ def parse_complex(text: str) -> GaussianRational:
     raise ParseError(text, len(s), "not a complex literal")
 
 
-def parse_contour(text: str, branch: str = "principal") -> ContourParams:
+def parse_contour(text: str) -> ContourParams:
     parts = text.split(",")
     if len(parts) != 3:
         raise ParseError(text, 0, "expected three comma-separated literals")
-    a, b, c = (parse_complex(p) for p in parts)
-    return ContourParams(a, b, c, Branch(branch))
+    return ContourParams(*(parse_complex(p) for p in parts))
 
 
 # ---------------------------------------------------------------------------
 # subcommand payloads
 # ---------------------------------------------------------------------------
 
-def _formats(args) -> set[str]:
-    return set(args.formats.split(","))
+def _formats(text: str) -> set[str]:
+    names = set(text.split(","))
+    unknown = sorted(names - {"json", "csv", "svg"})
+    if unknown:
+        raise ValidationError(f"unknown output format {unknown[0]!r}; "
+                              "--formats takes a subset of json,csv,svg")
+    return names
 
 
 def _outdir(args) -> Path:
@@ -152,7 +156,7 @@ def _cmd_algebra_verify(args):
     payload = {"command": "algebra-verify", "checks": checks,
                "all_passed": all(c["passed"] for c in checks)}
     out = _outdir(args)
-    if "json" in _formats(args):
+    if "json" in args.formats:
         write_json(out / "algebra_verify.json", payload)
     if not payload["all_passed"]:
         raise PtContourError("algebra verification failed")
@@ -166,7 +170,7 @@ def _spectrum_payload(params: ContourParams, levels: int, n: int):
     ref = reference.REFERENCE_LEVELS[:levels]
     rel = max(abs(ev.real - r) / abs(r)
               for ev, r in zip(result.eigenvalues, ref))
-    payload = result.to_json_obj(params=params)
+    payload = result.to_json_obj(params)
     payload["command"] = "spectrum"
     payload["reference"] = list(ref)
     payload["max_relative_deviation"] = rel
@@ -177,9 +181,9 @@ def _cmd_spectrum(args):
     params = _params_from_args(args)
     payload = _spectrum_payload(params, args.levels, args.grid_n)
     out = _outdir(args)
-    if "json" in _formats(args):
+    if "json" in args.formats:
         write_json(out / "spectrum.json", payload)
-    if "csv" in _formats(args):
+    if "csv" in args.formats:
         rows = [(i, ev["re"], ev["im"], res)
                 for i, (ev, res) in enumerate(zip(payload["eigenvalues"],
                                                   payload["residuals"]))]
@@ -196,9 +200,9 @@ def _cmd_iso_check(args):
     payload["command"] = "iso-check"
     payload["passed"] = report.passed
     out = _outdir(args)
-    if "json" in _formats(args):
+    if "json" in args.formats:
         write_json(out / "iso_check.json", payload)
-    if "csv" in _formats(args):
+    if "csv" in args.formats:
         for name, mat in (("amplitudes_src", report.amplitudes_src),
                           ("amplitudes_dst", report.amplitudes_dst)):
             write_csv(out / f"{name}.csv",
@@ -217,12 +221,12 @@ def _cmd_wedges(args):
                          "c": str(params.c), "branch": params.branch.value}
     out = _outdir(args)
     xs, re_z, im_z = polyline(params)
-    if "json" in _formats(args):
+    if "json" in args.formats:
         write_json(out / "wedges.json", payload)
-    if "csv" in _formats(args):
+    if "csv" in args.formats:
         write_csv(out / "contour.csv", ["x", "re_z", "im_z"],
                   zip(xs, re_z, im_z))
-    if "svg" in _formats(args):
+    if "svg" in args.formats:
         from .svgfig import wedge_figure
         wedge_figure(out / "wedges.svg",
                      [(f"z = {params.a}*sqrt({params.b} + {params.c}*i*x)"
@@ -242,19 +246,19 @@ def _cmd_wkb(args):
         "weighted_at_ends": [float(weighted[0]), float(weighted[-1])],
     }
     out = _outdir(args)
-    if "csv" in _formats(args):
+    if "csv" in args.formats:
         write_csv(out / f"wkb_{tag}.csv",
                   ["p", "log_wkb", "log_weighted", "in_domain"],
                   ((p, lm, wm, int(mk))
                    for p, lm, wm, mk in zip(ps, logmag, weighted, mask)))
-    if "svg" in _formats(args):
+    if "svg" in args.formats:
         from .svgfig import line_chart
         line_chart(out / f"wkb_{tag}.svg",
                    [("log|profile|", ps, logmag),
                     ("log|profile*eta*profile|", ps, weighted)],
                    title=f"momentum-space profile: {tag}",
                    xlabel="p", ylabel="log magnitude")
-    if "json" in _formats(args):
+    if "json" in args.formats:
         write_json(out / f"wkb_{tag}.json", payload)
     return payload
 
@@ -269,7 +273,7 @@ def _cmd_hermite_demo(args):
     payload["command"] = "hermite-demo"
     payload["max_relative_deviation"] = dev
     out = _outdir(args)
-    if "csv" in _formats(args):
+    if "csv" in args.formats:
         write_csv(out / "hermite_T.csv",
                   ["n"] + [f"m{m}" for m in range(k)],
                   ([n] + [table.table[n, m] for m in range(k)]
@@ -278,14 +282,14 @@ def _cmd_hermite_demo(args):
                   ["x", "H0", "H1", "H2", "H3"],
                   ((x, *vals) for x, vals
                    in zip(table.plot_x, table.plot_values.T)))
-    if "svg" in _formats(args):
+    if "svg" in args.formats:
         from .svgfig import line_chart
         line_chart(out / "hermite.svg",
                    [(f"H{n}", table.plot_x, table.plot_values[n])
                     for n in range(4)],
                    title="first four Hermite polynomials",
                    xlabel="x", ylabel="H_n(x)")
-    if "json" in _formats(args):
+    if "json" in args.formats:
         write_json(out / "hermite.json", payload)
     return payload
 
@@ -312,14 +316,14 @@ def _cmd_sweep(args):
     summary = {}
     for section, params, lv, n in jobs:
         payload = _spectrum_payload(params, lv, n)
-        if "json" in _formats(args):
+        if "json" in args.formats:
             write_json(out / f"spectrum_{section}.json", payload)
         summary[section] = {
             "eigenvalues": payload["eigenvalues"],
             "max_relative_deviation": payload["max_relative_deviation"],
         }
     payload = {"command": "sweep", "sections": summary}
-    if "json" in _formats(args):
+    if "json" in args.formats:
         write_json(out / "summary.json", payload)
     return payload
 
@@ -432,6 +436,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_absorb_values(argv))
     try:
+        args.formats = _formats(args.formats)
         payload = args.func(args)
     except tuple(exc for exc, _, _ in _ERROR_CODES) as exc:
         for exc_type, code, kind in _ERROR_CODES:

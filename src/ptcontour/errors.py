@@ -56,12 +56,8 @@ class NotHermitian(ValidationError):
     """Matrix fails the Hermiticity tolerance required by the solver."""
 
 
-class NoConvergence(NumericalError):
-    """Dense eigensolver did not converge."""
-
-
 class NotConverged(NumericalError):
-    """Grid-refinement drift or an eigenpair residual exceeds its bound."""
+    """An eigensolver failed, or a drift or residual exceeds its bound."""
 
 
 # --- metric / amplitudes -----------------------------------------------------

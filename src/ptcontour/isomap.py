@@ -77,17 +77,15 @@ def push_metric(m: IsoMap, eta1: MetricSpec) -> MetricSpec:
     metric computed directly on the target contour; a mismatch can only be
     an implementation bug and raises :class:`PushforwardMismatch`.
     """
-    expected_src = metric_of(m.source)
-    if (eta1.kappa3, eta1.kappa1) != (expected_src.kappa3, expected_src.kappa1):
+    if eta1 != metric_of(m.source):
         raise ValueError("eta1 is not the metric of the map's source contour")
     beta, gamma = m.beta_fraction, m.gamma_fraction
     pushed = MetricSpec(
         kappa3=eta1.kappa3 / beta ** 3,
         kappa1=eta1.kappa1 / beta - 2 * gamma,
-        params=m.target,
     )
     direct = metric_of(m.target)
-    if (pushed.kappa3, pushed.kappa1) != (direct.kappa3, direct.kappa1):
+    if pushed != direct:
         raise PushforwardMismatch(
             f"transported ({pushed.kappa3}, {pushed.kappa1}) != "
             f"direct ({direct.kappa3}, {direct.kappa1})")

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import json
-from fractions import Fraction
 from pathlib import Path
 
 
@@ -22,19 +21,11 @@ def _convert(obj):
         return obj
     if isinstance(obj, float):
         return _Float17(obj)
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, complex):
-        return {"re": _Float17(obj.real), "im": _Float17(obj.imag)}
     if isinstance(obj, dict):
         return {str(k): _convert(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_convert(v) for v in obj]
-    if hasattr(obj, "tolist"):           # numpy scalars and arrays
-        return _convert(obj.tolist())
-    if hasattr(obj, "to_json_obj"):
-        return _convert(obj.to_json_obj())
-    return str(obj)
+    raise TypeError(f"{type(obj).__name__} is not a JSON payload type")
 
 
 def canonical_dumps(obj) -> str:

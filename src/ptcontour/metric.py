@@ -21,7 +21,7 @@ from .errors import NonIntegrable
 from .opalg import (ContourParams, _require_hermitizable, dyson_coefficients,
                     hermitize)
 from .rational import GaussianRational
-from .spectral import Grid, hermitian_eigenpairs, matrixize
+from .spectral import Grid, eigensolve_hermitian, matrixize
 
 _EXP_OVERFLOW = 700.0
 _HALFWIDTH_SCALE = 4.0
@@ -33,13 +33,9 @@ class MetricSpec:
 
     kappa3: Fraction
     kappa1: Fraction
-    params: ContourParams | None = None
 
     def exponent_coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (Fraction(0), self.kappa1, Fraction(0), self.kappa3)
-
-    def to_json_obj(self) -> dict:
-        return {"kappa3": str(self.kappa3), "kappa1": str(self.kappa1)}
 
 
 def _real_fraction(v: GaussianRational, what: str) -> Fraction:
@@ -60,7 +56,6 @@ def metric_of(params: ContourParams) -> MetricSpec:
     return MetricSpec(
         kappa3=_real_fraction(f * 2, "kappa3"),
         kappa1=_real_fraction(g * 2, "kappa1"),
-        params=params,
     )
 
 
@@ -123,8 +118,7 @@ def eigenbasis(params: ContourParams, k: int, grid: Grid) -> list[TaggedWaveFn]:
     if grid.n % 2 == 0:
         raise ValueError("eigenbasis requires an odd point count (Simpson)")
     res = hermitize(params)
-    mat = matrixize(res.h, grid)
-    vals, vecs = hermitian_eigenpairs(mat, k)
+    vecs = eigensolve_hermitian(matrixize(res.h, grid), k).eigenvectors
     w = simpson_weights(grid.n, grid.spacing)
     exponent = (Fraction(0), -res.g.re, Fraction(0), -res.f.re)
     out = []

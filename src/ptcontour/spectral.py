@@ -19,11 +19,11 @@ which solve nothing do not load it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridTooCoarse, NoConvergence, NotConverged, NotHermitian
+from .errors import GridTooCoarse, NotConverged, NotHermitian
 from .opalg import ANCHOR, OperatorExpr
 from .reference import REFERENCE_DOMAIN, REFERENCE_GRID_SIZES
 
@@ -123,31 +123,28 @@ def band_to_dense(ab: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Retained eigenvalues, sorted by ascending real part."""
+    """Retained eigenpairs (vectors in columns), by ascending real part."""
 
     eigenvalues: tuple[complex, ...]
     residual_norms: tuple[float, ...]
     grid: Grid | None
     method: str
+    eigenvectors: np.ndarray = field(repr=False, compare=False)
 
     def real_parts(self) -> np.ndarray:
         return np.array([e.real for e in self.eigenvalues])
 
-    def to_json_obj(self, params=None) -> dict:
-        obj = {
+    def to_json_obj(self, params) -> dict:
+        return {
             "eigenvalues": [{"re": e.real, "im": e.imag}
                             for e in self.eigenvalues],
             "residuals": list(self.residual_norms),
             "method": self.method,
-            "grid": None if self.grid is None else {
-                "variable": self.grid.variable,
-                "lo": self.grid.lo, "hi": self.grid.hi, "n": self.grid.n,
-            },
+            "grid": {"variable": self.grid.variable, "lo": self.grid.lo,
+                     "hi": self.grid.hi, "n": self.grid.n},
+            "params": {"a": str(params.a), "b": str(params.b),
+                       "c": str(params.c)},
         }
-        if params is not None:
-            obj["params"] = {"a": str(params.a), "b": str(params.b),
-                             "c": str(params.c)}
-        return obj
 
 
 def neighbor_correlation(v: np.ndarray) -> float:
@@ -172,13 +169,10 @@ def hermitian_eigenpairs(ab: np.ndarray, k: int):
     is orthogonal to the odd levels of a parity-symmetric operator.
     """
     import scipy.linalg as sla
-    if k < 1:
-        raise ValueError(f"the level count must be at least 1, got {k}")
     u, n = ab.shape[0] // 2, ab.shape[1]
-    scale = np.abs(ab).max()
     defect = max(np.abs(ab[u - d, d:] - ab[u + d, :n - d].conj()).max()
                  for d in range(u + 1))     # A[i, i+d] vs conj(A[i+d, i])
-    if defect >= 1e-10 * scale:
+    if defect >= 1e-10 * np.abs(ab).max():
         raise NotHermitian("matrix fails the Hermiticity tolerance")
     sym = ab if ab.imag.any() else ab.real
     vals = sla.eig_banded(sym[:u + 1], eigvals_only=True, select="i",
@@ -191,44 +185,50 @@ def hermitian_eigenpairs(ab: np.ndarray, k: int):
         for _ in range(2):
             v = sla.solve_banded((u, u), shifted, vecs[:, i])
             vecs[:, i] = v / np.linalg.norm(v)
-    worst = max(_residuals(ab, vals, vecs))
-    if worst > _RESIDUAL_BOUND * scale:
-        raise NotConverged(f"eigenpair residual {worst:.3e} exceeds "
-                           f"{_RESIDUAL_BOUND} * max|A| = {scale:.3e}")
     return vals, vecs
 
 
-def _residuals(ab, vals, vecs) -> tuple[float, ...]:
-    """||A v - lambda v|| / ||v|| for each column v of vecs."""
+def _check_levels(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"the level count must be at least 1, got {k}")
+    if k > _MAX_LEVELS:
+        raise ValueError(f"at most {_MAX_LEVELS} eigenpairs are retained")
+
+
+def _result(ab, vals, vecs, grid, method) -> SpectrumResult:
+    """Package eigenpairs with ||A v - lambda v|| / ||v|| per column v."""
     norms = (np.linalg.norm(_band_matmul(ab, vecs) - vecs * vals, axis=0)
              / np.linalg.norm(vecs, axis=0))
-    return tuple(float(r) for r in norms)
+    return SpectrumResult(tuple(complex(v) for v in vals),
+                          tuple(float(r) for r in norms), grid, method, vecs)
 
 
 def eigensolve_hermitian(ab: np.ndarray, k: int,
                          grid: Grid | None = None) -> SpectrumResult:
-    """k smallest eigenvalues of a Hermitian band, with residuals."""
-    if k > _MAX_LEVELS:
-        raise ValueError(f"at most {_MAX_LEVELS} eigenpairs are retained")
-    vals, vecs = hermitian_eigenpairs(ab, k)
-    return SpectrumResult(tuple(complex(v) for v in vals),
-                          _residuals(ab, vals, vecs), grid, "eig_banded")
+    """Lowest k eigenpairs of a Hermitian band, with residuals.
+
+    Raises :class:`NotConverged` if a residual exceeds the bound.
+    """
+    _check_levels(k)
+    result = _result(ab, *hermitian_eigenpairs(ab, k), grid, "eig_banded")
+    worst, scale = max(result.residual_norms), np.abs(ab).max()
+    if worst > _RESIDUAL_BOUND * scale:
+        raise NotConverged(f"eigenpair residual {worst:.3e} exceeds "
+                           f"{_RESIDUAL_BOUND} * max|A| = {scale:.3e}")
+    return result
 
 
 def eigensolve_general(ab: np.ndarray, k: int,
                        grid: Grid | None = None) -> SpectrumResult:
-    """k eigenvalues of least real part of a general band, by dense ``eig``."""
+    """k eigenpairs of least real part of a general band, by dense ``eig``."""
     import scipy.linalg as sla
-    if k > _MAX_LEVELS:
-        raise ValueError(f"at most {_MAX_LEVELS} eigenpairs are retained")
+    _check_levels(k)
     try:
         vals, vecs = sla.eig(band_to_dense(ab))
     except np.linalg.LinAlgError as exc:   # pragma: no cover - hardware path
-        raise NoConvergence(str(exc)) from exc
+        raise NotConverged(str(exc)) from exc
     order = np.argsort(vals.real, kind="stable")[:k]
-    vals, vecs = vals[order], vecs[:, order]
-    return SpectrumResult(tuple(complex(v) for v in vals),
-                          _residuals(ab, vals, vecs), grid, "hessenberg-qr")
+    return _result(ab, vals[order], vecs[:, order], grid, "hessenberg-qr")
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +259,8 @@ def oracle_spectrum(levels: int = 5, operator: OperatorExpr | None = None) -> np
     spacings = []
     for n in REFERENCE_GRID_SIZES:
         grid = Grid("position", *REFERENCE_DOMAIN, n)
-        vals, _ = hermitian_eigenpairs(matrixize(op, grid), levels)
-        per_grid.append(vals)
+        per_grid.append(
+            eigensolve_hermitian(matrixize(op, grid), levels).real_parts())
         spacings.append(grid.spacing)
     extrap_1 = _richardson(per_grid[0], per_grid[1], spacings[0], spacings[1])
     extrap_2 = _richardson(per_grid[1], per_grid[2], spacings[1], spacings[2])

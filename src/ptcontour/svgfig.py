@@ -74,9 +74,9 @@ def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     return out
 
 
-def line_chart(path, series, title="", xlabel="", ylabel="",
-               width=640, height=440):
-    """Plot (label, xs, ys) series with axes and a legend."""
+def line_chart(path, series, title, xlabel, ylabel):
+    """Plot (label, xs, ys) series with axes and a legend, 640 x 440."""
+    width, height = 640, 440
     margin_l, margin_r, margin_t, margin_b = 70, 20, 40, 50
     canvas = _Canvas(width, height, title)
     plot_w = width - margin_l - margin_r
@@ -110,13 +110,10 @@ def line_chart(path, series, title="", xlabel="", ylabel="",
     for t in _ticks(y_lo, y_hi):
         canvas.line(margin_l - 4, sy(t), margin_l, sy(t))
         canvas.text(margin_l - 8, sy(t) + 3, f"{t:g}", size=10, anchor="end")
-    if title:
-        canvas.text(width / 2, 22, title, size=14, anchor="middle")
-    if xlabel:
-        canvas.text(margin_l + plot_w / 2, height - 12, xlabel, size=11,
-                    anchor="middle")
-    if ylabel:
-        canvas.text(16, margin_t - 10, ylabel, size=11)
+    canvas.text(width / 2, 22, title, size=14, anchor="middle")
+    canvas.text(margin_l + plot_w / 2, height - 12, xlabel, size=11,
+                anchor="middle")
+    canvas.text(16, margin_t - 10, ylabel, size=11)
 
     for i, (label, xs, ys) in enumerate(series):
         xs = np.asarray(xs, float)
@@ -131,12 +128,14 @@ def line_chart(path, series, title="", xlabel="", ylabel="",
     return canvas.save(path)
 
 
-def wedge_figure(path, contours, radius=4.0, width=560, height=560,
-                 title="contours and wedge boundaries"):
+def wedge_figure(path, contours):
     """Complex-plane figure: sector boundary rays plus contour traces.
 
-    ``contours`` is a list of (label, re_z, im_z, dashed) tuples.
+    ``contours`` is a list of (label, re_z, im_z, dashed) tuples, drawn on
+    560 x 560 pixels within |Re z|, |Im z| <= 4.
     """
+    radius, width, height = 4.0, 560, 560
+    title = "contours and wedge boundaries"
     canvas = _Canvas(width, height, title)
     cx, cy = width / 2, height / 2 + 10
     scale = (min(width, height) / 2 - 50) / radius

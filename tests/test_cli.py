@@ -237,15 +237,39 @@ def test_exit_code_validation_error(tmp_path, capsys):
     assert err["error"]["type"] == "NotHermitizable"
 
 
-@pytest.mark.parametrize("argv", [
-    ["spectrum", "--a", "-2i", "--b", "1", "--c", "1", "--levels", "0"],
-    ["iso-check", "--src", "1,1,1", "--dst", "-2i,1,1", "-k", "0"],
-], ids=lambda argv: argv[0])
-def test_exit_code_zero_levels(tmp_path, capsys, argv):
+_SPECTRUM = ["spectrum", "--a", "-2i", "--b", "1", "--c", "1", "--levels"]
+_ISO_CHECK = ["iso-check", "--src", "1,1,1", "--dst", "-2i,1,1", "-k"]
+_TOO_FEW = "the level count must be at least 1, got 0"
+_TOO_MANY = "at most 12 eigenpairs are retained"
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param([*_SPECTRUM, "0"], _TOO_FEW, id="spectrum"),
+    pytest.param([*_ISO_CHECK, "0"], _TOO_FEW, id="iso-check"),
+    pytest.param([*_SPECTRUM, "13"], _TOO_MANY, id="spectrum-13"),
+    pytest.param([*_ISO_CHECK, "13"], _TOO_MANY, id="iso-check-13"),
+])
+def test_exit_code_zero_levels(tmp_path, capsys, argv, message):
+    # one level rule for both commands: 1 <= k <= 12
     assert main([*argv, "--grid-n", "401", "--out", str(tmp_path)]) == 2
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "ValueError"
-    assert err["message"] == "the level count must be at least 1, got 0"
+    assert err["message"] == message
+
+
+@pytest.mark.parametrize("formats", ["jsn", "json,png"])
+def test_unknown_format_rejected_before_any_work(tmp_path, capsys,
+                                                  monkeypatch, formats):
+    import ptcontour.cli as cli
+    monkeypatch.setattr(cli, "_spectrum_payload", _raise(AssertionError))
+    out = tmp_path / "out"
+    code = main(["spectrum", "--a", "-2i", "--b", "1", "--c", "1",
+                 "--formats", formats, "--out", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["kind"] == "validation"
+    assert repr(formats.split(",")[-1]) in err["message"]
+    assert not out.exists()
 
 
 def test_exit_code_numerical_error(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import subprocess
 import sys
@@ -16,9 +17,8 @@ from ptcontour.rational import GaussianRational as Q
 from ptcontour.reference import REFERENCE_LEVELS
 from ptcontour.spectral import (_STENCILS, Grid, band_to_dense,
                                 eigensolve_general, eigensolve_hermitian,
-                                hermitian_eigenpairs, is_grid_artifact,
-                                matrixize, neighbor_correlation,
-                                oracle_spectrum)
+                                is_grid_artifact, matrixize,
+                                neighbor_correlation, oracle_spectrum)
 
 OSC_MINUS_ONE = OperatorExpr({(0, 2): Q(1), (2, 0): Q(1), (0, 0): Q(-1)})
 OSC = OperatorExpr({(0, 2): Q(1), (2, 0): Q(1)})
@@ -196,13 +196,24 @@ def test_retained_count_capped():
         eigensolve_hermitian(matrixize(OSC, g), 13, grid=g)
 
 
+def test_result_carries_vectors_outside_repr_and_equality():
+    g = Grid("position", -10.0, 10.0, 201)
+    ab = matrixize(OSC, g)
+    res = eigensolve_hermitian(ab, 3, grid=g)
+    vecs = res.eigenvectors
+    assert vecs.shape == (201, 3)
+    assert np.allclose(band_to_dense(ab) @ vecs, vecs * res.real_parts())
+    assert "eigenvectors" not in repr(res)
+    assert res == dataclasses.replace(res, eigenvectors=-vecs)
+
+
 def test_no_retained_vector_is_grid_artifact():
     cases = [(ANCHOR, Grid("position", -6.0, 6.0, n))
              for n in (801, 1201, 1601)]
     cases += [(hermitize(p).h, default_momentum_grid(p))
               for p in STANDARD_FIVE]
     for op, g in cases:
-        _, vecs = hermitian_eigenpairs(matrixize(op, g), 8)
+        vecs = eigensolve_hermitian(matrixize(op, g), 8).eigenvectors
         assert not any(is_grid_artifact(vecs[:, i]) for i in range(8))
 
 
@@ -266,6 +277,19 @@ def test_general_solver_diagonal():
     assert all(abs(e.imag) == 0 for e in res.eigenvalues)
 
 
+@pytest.mark.parametrize("k,message", [
+    (0, "the level count must be at least 1, got 0"),
+    (-2, "the level count must be at least 1, got -2"),
+    (13, "at most 12 eigenpairs are retained"),
+], ids=["k=0", "k=-2", "k=13"])
+def test_general_solver_level_rule(k, message):
+    # the rule eigensolve_hermitian applies, with the same messages
+    ab = np.array([[3.0, 1.0, 2.0]], dtype=complex)
+    with pytest.raises(ValueError) as err:
+        eigensolve_general(ab, k)
+    assert str(err.value) == message
+
+
 def test_general_solver_consistent_with_hermitian():
     g = Grid("position", -8.0, 8.0, 257)
     mat = matrixize(OSC, g)
@@ -321,7 +345,7 @@ def test_grid_refinement_monotonicity():
     prev = None
     for n in (801, 1201, 1601):
         g = Grid("position", -6.0, 6.0, n)
-        vals, _ = hermitian_eigenpairs(matrixize(ANCHOR, g), 5)
+        vals = eigensolve_hermitian(matrixize(ANCHOR, g), 5).real_parts()
         if prev is not None:
             drifts.append(np.abs(vals - prev))
         prev = vals
