@@ -4,7 +4,7 @@ Parameters are exact complex-rational literals (no floating intermediate),
 so paper-style inputs like ``-2i`` or ``1/3+2/5i`` round-trip exactly into
 the algebra.  Every subcommand writes its artifacts under ``--out`` only and
 produces deterministic output: identical configuration yields byte-identical
-JSON.
+JSON.  Only this module knows the JSON schema; the library returns results.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical non-convergence,
 4 parse error.
@@ -13,15 +13,18 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from . import catalog, reference
 from .contour import polyline, wedge_report
-from .errors import (NumericalError, ParseError, PtContourError,
-                     PushforwardMismatch, ValidationError)
+from .errors import (ConfigParseError, NumericalError, ParseError,
+                     PtContourError, PushforwardMismatch, ValidationError)
 from .isomap import map_params, push_metric, verify_isometry
 from .jsonio import canonical_dumps, write_csv, write_json
 from .metric import (default_momentum_grid, exact_hermite_norm, hermite_demo,
@@ -31,7 +34,7 @@ from .opalg import (ANCHOR, Branch, ContourParams, OperatorExpr,
                     is_hermitian)
 from .rational import GaussianRational
 from .spectral import eigensolve_hermitian, matrixize
-from .wkb import TAGS, profile
+from .wkb import TAGS, eval_wkb, in_domain, metric_weighted_wkb
 
 _NUMBER = r"(?:\d+/\d+|\d+\.\d+|\.\d+|\d+)"
 _SINGLE = re.compile(rf"^(?P<sign>[+-]?)(?P<mag>{_NUMBER})?(?P<i>i)?$")
@@ -96,6 +99,14 @@ def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _params_json(p: ContourParams) -> dict:
+    return {"a": str(p.a), "b": str(p.b), "c": str(p.c)}
+
+
+def _complex_json(z: complex) -> dict:
+    return {"re": z.real, "im": z.imag}
 
 
 def _params_from_args(args) -> ContourParams:
@@ -170,11 +181,12 @@ def _spectrum_payload(params: ContourParams, levels: int, n: int):
     ref = reference.REFERENCE_LEVELS[:levels]
     rel = max(abs(ev.real - r) / abs(r)
               for ev, r in zip(result.eigenvalues, ref))
-    payload = result.to_json_obj(params)
-    payload["command"] = "spectrum"
-    payload["reference"] = list(ref)
-    payload["max_relative_deviation"] = rel
-    return payload
+    return {"command": "spectrum",
+            "eigenvalues": [_complex_json(e) for e in result.eigenvalues],
+            "residuals": list(result.residual_norms),
+            "method": result.method, "grid": dataclasses.asdict(grid),
+            "params": _params_json(params), "reference": list(ref),
+            "max_relative_deviation": rel}
 
 
 def _cmd_spectrum(args):
@@ -196,16 +208,22 @@ def _cmd_iso_check(args):
     src = parse_contour(args.src)
     dst = parse_contour(args.dst)
     report = verify_isometry(src, dst, k=args.k, n=args.grid_n)
-    payload = report.to_json_obj()
-    payload["command"] = "iso-check"
-    payload["passed"] = report.passed
+    tables = {"src": report.amplitudes_src, "dst": report.amplitudes_dst}
+    payload = {"command": "iso-check", "src": _params_json(src),
+               "dst": _params_json(dst), "beta": str(report.beta),
+               "gamma": str(report.gamma), "k": report.k,
+               "max_deviation": report.max_deviation,
+               "identity_deviation": report.identity_deviation,
+               "passed": report.passed,
+               "amplitude_tables": {side: [[_complex_json(v) for v in row]
+                                           for row in mat]
+                                    for side, mat in tables.items()}}
     out = _outdir(args)
     if "json" in args.formats:
         write_json(out / "iso_check.json", payload)
     if "csv" in args.formats:
-        for name, mat in (("amplitudes_src", report.amplitudes_src),
-                          ("amplitudes_dst", report.amplitudes_dst)):
-            write_csv(out / f"{name}.csv",
+        for side, mat in tables.items():
+            write_csv(out / f"amplitudes_{side}.csv",
                       ["i"] + [f"j{j}" for j in range(report.k)],
                       ([i] + [mat[i, j].real for j in range(report.k)]
                        for i in range(report.k)))
@@ -214,11 +232,10 @@ def _cmd_iso_check(args):
 
 def _cmd_wedges(args):
     params = _params_from_args(args)
-    report = wedge_report(params)
-    payload = report.to_json_obj()
-    payload["command"] = "wedges"
-    payload["params"] = {"a": str(params.a), "b": str(params.b),
-                         "c": str(params.c), "branch": params.branch.value}
+    payload = {"command": "wedges",
+               **dataclasses.asdict(wedge_report(params)),
+               "params": {**_params_json(params),
+                          "branch": params.branch.value}}
     out = _outdir(args)
     xs, re_z, im_z = polyline(params)
     if "json" in args.formats:
@@ -235,10 +252,12 @@ def _cmd_wedges(args):
 
 
 def _cmd_wkb(args):
+    if args.n < 2:
+        raise ValidationError(f"--n must be at least 2, got {args.n}")
     tag = args.tag
-    prof = profile(tag, args.p_min, args.p_max, args.n)
-    ps, logmag, mask = prof.p, prof.log_magnitude, prof.mask
-    weighted = prof.weighted_log_magnitude
+    ps = np.linspace(args.p_min, args.p_max, args.n)
+    logmag, mask = eval_wkb(tag, ps), in_domain(tag, ps)
+    weighted = metric_weighted_wkb(tag, ps)
     payload = {
         "command": "wkb", "tag": tag,
         "p_min": args.p_min, "p_max": args.p_max, "n": args.n,
@@ -269,9 +288,8 @@ def _cmd_hermite_demo(args):
     dev = max(abs(table.table[n, m] - (exact_hermite_norm(n) if n == m else 0.0))
               / exact_hermite_norm(max(n, m))
               for n in range(k) for m in range(k))
-    payload = table.to_json_obj()
-    payload["command"] = "hermite-demo"
-    payload["max_relative_deviation"] = dev
+    payload = {"command": "hermite-demo", "n_max": args.n_max,
+               "table": table.table.tolist(), "max_relative_deviation": dev}
     out = _outdir(args)
     if "csv" in args.formats:
         write_csv(out / "hermite_T.csv",
@@ -295,12 +313,19 @@ def _cmd_hermite_demo(args):
 
 
 def _cmd_sweep(args):
-    cfg = configparser.ConfigParser()
-    read = cfg.read(args.config)
+    cfg = configparser.ConfigParser(interpolation=None)   # values are literal
+    try:
+        read = cfg.read(args.config)
+    except configparser.Error as exc:   # every read error carries its line
+        line = getattr(exc, "lineno", None) or exc.errors[0][0]
+        raise ConfigParseError(args.config, line, type(exc).__name__) from None
     if not read:
         raise PtContourError(f"config file {args.config!r} not found")
     jobs = []
     for section in cfg.sections():
+        if set(section) & set("/\\"):
+            raise ValidationError(
+                f"section name [{section}] contains a path separator")
         sec = cfg[section]
         for key in ("a", "b", "c"):
             if sec.get(key) is None:

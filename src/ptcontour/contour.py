@@ -23,13 +23,6 @@ _STOKES_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class ContourSample:
-    x: float
-    z: complex
-    branch_used: Branch
-
-
-@dataclass(frozen=True)
 class WedgeReport:
     """Endpoint directions and their sector classification."""
 
@@ -41,18 +34,6 @@ class WedgeReport:
     decay_family_minus: str
     adjacent: bool
     pt_symmetric: bool
-
-    def to_json_obj(self) -> dict:
-        return {
-            "theta_plus": self.theta_plus,
-            "theta_minus": self.theta_minus,
-            "wedge_plus": self.wedge_plus,
-            "wedge_minus": self.wedge_minus,
-            "decay_family_plus": self.decay_family_plus,
-            "decay_family_minus": self.decay_family_minus,
-            "adjacent": self.adjacent,
-            "pt_symmetric": self.pt_symmetric,
-        }
 
 
 def _pick_root(w: complex, branch: Branch, prev: complex | None) -> complex:
@@ -72,8 +53,8 @@ def _pick_root(w: complex, branch: Branch, prev: complex | None) -> complex:
     return r if abs(r - prev) <= abs(-r - prev) else -r
 
 
-def sample(params: ContourParams, x_values) -> list[ContourSample]:
-    """Sample z(x) = a*sqrt(b + i c x) along real parameter values.
+def sample(params: ContourParams, x_values) -> np.ndarray:
+    """z(x) = a*sqrt(b + i c x) at each real parameter value, as an array.
 
     ``principal`` takes the principal square root of (b + i c x); ``upper``
     and ``lower`` select, per point, the root with positive respectively
@@ -83,14 +64,12 @@ def sample(params: ContourParams, x_values) -> list[ContourSample]:
     a = complex(params.a)
     b = complex(params.b)
     c = complex(params.c)
-    out: list[ContourSample] = []
+    out = []
     prev: complex | None = None
     for x in x_values:
-        x = float(x)
-        root = _pick_root(b + 1j * c * x, params.branch, prev)
-        prev = root
-        out.append(ContourSample(x=x, z=a * root, branch_used=params.branch))
-    return out
+        prev = _pick_root(b + 1j * c * float(x), params.branch, prev)
+        out.append(a * prev)
+    return np.array(out, dtype=complex)
 
 
 def _wrap_angle(theta: float) -> float:
@@ -127,8 +106,7 @@ def endpoint_angles(params: ContourParams) -> tuple[float, float]:
     thetas = []
     for direction in (-1, +1):
         closed = _wrap_angle(base + _asymptotic_root_angle(params, direction))
-        numeric = sample(params, [direction * 1e8])[0].z
-        num_angle = cmath.phase(numeric)
+        num_angle = cmath.phase(sample(params, [direction * 1e8])[0])
         dev = abs(_wrap_angle(num_angle - closed))
         if dev > 1e-6:
             raise ArithmeticError(
@@ -148,8 +126,7 @@ def _classify(theta: float) -> tuple[int, str]:
 
 def is_pt_symmetric(params: ContourParams) -> bool:
     """Grid test of z(-x) = -conj(z(x)) on 1001 points of [-50, 50]."""
-    xs = np.linspace(-50.0, 50.0, 1001)
-    zs = np.array([s.z for s in sample(params, xs)])
+    zs = sample(params, np.linspace(-50.0, 50.0, 1001))
     dev = np.abs(zs[::-1] + np.conj(zs)).max()
     return bool(dev < _PT_TOL)
 
@@ -186,5 +163,5 @@ def direct_diagonalization_allowed(report: WedgeReport) -> bool:
 def polyline(params: ContourParams, extent: float = 6.0, n: int = 481):
     """(x, Re z, Im z) arrays for plotting and CSV export."""
     xs = np.linspace(-extent, extent, n)
-    zs = np.array([s.z for s in sample(params, xs)])
+    zs = sample(params, xs)
     return xs, zs.real, zs.imag

@@ -81,3 +81,11 @@ class ParseError(ValidationError):
         self.text = text
         self.position = position
         super().__init__(f"{message}: {text!r} at position {position}")
+
+
+class ConfigParseError(ParseError):
+    """Malformed config file; ``position`` is the 1-based line number."""
+
+    def __init__(self, path: str, line: int, message: str):
+        super().__init__(path, line, message)
+        self.args = (f"{message}: {path!r} line {line}",)

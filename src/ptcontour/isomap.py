@@ -132,21 +132,6 @@ class IsometryReport:
     def passed(self) -> bool:
         return self.max_deviation < 1e-6
 
-    def to_json_obj(self) -> dict:
-        def table(mat):
-            return [[{"re": v.real, "im": v.imag} for v in row] for row in mat]
-        return {
-            "src": {"a": str(self.src.a), "b": str(self.src.b), "c": str(self.src.c)},
-            "dst": {"a": str(self.dst.a), "b": str(self.dst.b), "c": str(self.dst.c)},
-            "beta": str(self.beta),
-            "gamma": str(self.gamma),
-            "k": self.k,
-            "max_deviation": self.max_deviation,
-            "identity_deviation": self.identity_deviation,
-            "amplitude_tables": {"src": table(self.amplitudes_src),
-                                 "dst": table(self.amplitudes_dst)},
-        }
-
 
 def verify_isometry(src: ContourParams, dst: ContourParams, k: int = 3,
                     n: int = 1201) -> IsometryReport:

@@ -100,9 +100,6 @@ class TaggedWaveFn:
         with np.errstate(divide="ignore"):
             return self.exponent_values() + np.log(mag)
 
-    def log10_abs(self) -> np.ndarray:
-        return self.log_abs() / math.log(10.0)
-
 
 def eigenbasis(params: ContourParams, k: int, grid: Grid) -> list[TaggedWaveFn]:
     """Tagged eigenfunctions of the transformed Hamiltonian on a contour.
@@ -199,13 +196,8 @@ class HermiteTable:
     """Weighted Hermite inner products T[n, m] plus plotting samples."""
 
     table: np.ndarray
-    n_max: int
     plot_x: np.ndarray
     plot_values: np.ndarray     # rows: H_0 .. H_3
-
-    def to_json_obj(self) -> dict:
-        return {"n_max": self.n_max,
-                "table": [[float(v) for v in row] for row in self.table]}
 
 
 def hermite_values(n_max: int, x: np.ndarray) -> np.ndarray:
@@ -240,5 +232,5 @@ def hermite_demo(n_max: int = 5) -> HermiteTable:
     weight = np.exp(-x * x)
     table = np.einsum("i,ni,mi->nm", w * weight, hv, hv)
     plot_x = np.linspace(-3.0, 3.0, 241)
-    return HermiteTable(table=table, n_max=n_max, plot_x=plot_x,
+    return HermiteTable(table=table, plot_x=plot_x,
                         plot_values=hermite_values(3, plot_x))

@@ -134,18 +134,6 @@ class SpectrumResult:
     def real_parts(self) -> np.ndarray:
         return np.array([e.real for e in self.eigenvalues])
 
-    def to_json_obj(self, params) -> dict:
-        return {
-            "eigenvalues": [{"re": e.real, "im": e.imag}
-                            for e in self.eigenvalues],
-            "residuals": list(self.residual_norms),
-            "method": self.method,
-            "grid": {"variable": self.grid.variable, "lo": self.grid.lo,
-                     "hi": self.grid.hi, "n": self.grid.n},
-            "params": {"a": str(params.a), "b": str(params.b),
-                       "c": str(params.c)},
-        }
-
 
 def neighbor_correlation(v: np.ndarray) -> float:
     """Normalized correlation of adjacent samples; -1 flags sawtooth modes."""

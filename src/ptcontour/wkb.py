@@ -104,26 +104,6 @@ def metric_weighted_wkb(tag: str, p) -> np.ndarray | float:
     return out if np.ndim(p) else float(out[0])
 
 
-@dataclass(frozen=True)
-class WkbProfile:
-    tag: str
-    p: np.ndarray
-    log_magnitude: np.ndarray
-    mask: np.ndarray
-
-    @property
-    def weighted_log_magnitude(self) -> np.ndarray:
-        return np.asarray(metric_weighted_wkb(self.tag, self.p))
-
-
-def profile(tag: str, p_min: float = -30.0, p_max: float = 30.0,
-            n: int = 601) -> WkbProfile:
-    ps = np.linspace(p_min, p_max, n)
-    return WkbProfile(tag=tag, p=ps,
-                      log_magnitude=np.asarray(eval_wkb(tag, ps)),
-                      mask=in_domain(tag, ps))
-
-
 def weighted_tail_integral(tag: str, extent: float) -> float:
     """Trapezoid integral of the metric-weighted profile over its valid region,
     sampled 8 times per unit of p (and at least 64 times)."""

@@ -210,6 +210,71 @@ c = 1
     assert (tmp_path / "runs/spectrum_reference.json").exists()
 
 
+def _schema(obj):
+    """Key names at every level of a payload; a list by its first item."""
+    if isinstance(obj, dict):
+        return {k: _schema(v) for k, v in obj.items()}
+    if isinstance(obj, list) and obj:
+        return [_schema(obj[0])]
+    return None
+
+
+_PARAMS = {"a": None, "b": None, "c": None}
+_COMPLEX = {"re": None, "im": None}
+_SPECTRUM_SCHEMA = {
+    "command": None, "eigenvalues": [_COMPLEX], "residuals": [None],
+    "method": None, "grid": {"variable": None, "lo": None, "hi": None,
+                             "n": None},
+    "params": _PARAMS, "reference": [None], "max_relative_deviation": None}
+_ERROR_SCHEMA = {"error": {"kind": None, "type": None, "message": None}}
+_SWEEP_INI = "[reference]\na = -2i\nb = 1\nc = 1\n"
+
+
+@pytest.mark.parametrize("argv,name,schema", [
+    (["algebra-verify"], "algebra_verify.json",
+     {"command": None, "all_passed": None,
+      "checks": [{"name": None, "passed": None, "detail": None}]}),
+    (["spectrum", "--a", "-2i", "--b", "1", "--c", "1", "--levels", "2",
+      "--grid-n", "401"], "spectrum.json", _SPECTRUM_SCHEMA),
+    (["iso-check", "--src", "1,1,1", "--dst", "-2i,1,1", "-k", "2",
+      "--grid-n", "401"], "iso_check.json",
+     {"command": None, "src": _PARAMS, "dst": _PARAMS, "beta": None,
+      "gamma": None, "k": None, "max_deviation": None,
+      "identity_deviation": None, "passed": None,
+      "amplitude_tables": {"src": [[_COMPLEX]], "dst": [[_COMPLEX]]}}),
+    (["wedges", "--a", "1", "--b", "1", "--c", "1"], "wedges.json",
+     {"command": None, "theta_plus": None, "theta_minus": None,
+      "wedge_plus": None, "wedge_minus": None, "decay_family_plus": None,
+      "decay_family_minus": None, "adjacent": None, "pt_symmetric": None,
+      "params": {**_PARAMS, "branch": None}}),
+    (["wkb", "--tag", "adjacent", "--n", "11"], "wkb_adjacent.json",
+     {"command": None, "tag": None, "p_min": None, "p_max": None, "n": None,
+      "log_magnitude_at_ends": [None], "weighted_at_ends": [None]}),
+    (["hermite-demo", "--n-max", "2"], "hermite.json",
+     {"command": None, "n_max": None, "table": [[None]],
+      "max_relative_deviation": None}),
+    (["sweep", "--levels", "2", "--grid-n", "401"], "summary.json",
+     {"command": None, "sections": {"reference": {
+         "eigenvalues": [_COMPLEX], "max_relative_deviation": None}}}),
+    (["spectrum", "--a", "nope", "--b", "1", "--c", "1"], None,
+     _ERROR_SCHEMA),
+], ids=["algebra-verify", "spectrum", "iso-check", "wedges", "wkb",
+        "hermite-demo", "sweep", "error"])
+def test_output_schema(tmp_path, capsys, argv, name, schema):
+    if argv[0] == "sweep":
+        (tmp_path / "sweep.ini").write_text(_SWEEP_INI)
+        argv = [*argv, "--config", str(tmp_path / "sweep.ini")]
+    main([*argv, "--out", str(tmp_path / "out")])
+    stdout = capsys.readouterr().out
+    payload = json.loads(stdout[stdout.index("{"):])   # after PASS lines
+    assert _schema(payload) == schema
+    if name is not None:
+        assert read_json(tmp_path, f"out/{name}") == payload
+    if argv[0] == "sweep":
+        assert _schema(read_json(tmp_path, "out/spectrum_reference.json")) \
+            == _SPECTRUM_SCHEMA
+
+
 def test_outputs_stay_inside_out_dir(tmp_path):
     out = tmp_path / "inner"
     main(["wedges", "--a", "-2i", "--b", "1", "--c", "1", "--out", str(out)])
@@ -269,6 +334,45 @@ def test_unknown_format_rejected_before_any_work(tmp_path, capsys,
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["kind"] == "validation"
     assert repr(formats.split(",")[-1]) in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text,code,message", [
+    pytest.param("a = 1\n", 4, "MissingSectionHeaderError: {cfg!r} line 1",
+                 id="no-section-header"),
+    pytest.param("[x]\na = 1\n\n[x]\n", 4,
+                 "DuplicateSectionError: {cfg!r} line 4",
+                 id="duplicate-section"),
+    pytest.param("[a/b]\na = -2i\nb = 1\nc = 1\n", 2,
+                 "section name [a/b] contains a path separator",
+                 id="slash-in-section"),
+    pytest.param("[a\\b]\na = -2i\nb = 1\nc = 1\n", 2,
+                 "section name [a\\b] contains a path separator",
+                 id="backslash-in-section"),
+])
+def test_sweep_bad_config_rejected_before_any_work(tmp_path, capsys,
+                                                    monkeypatch, text, code,
+                                                    message):
+    import ptcontour.cli as cli
+    monkeypatch.setattr(cli, "_spectrum_payload", _raise(AssertionError))
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == code
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["kind"] == {2: "validation", 4: "parse"}[code]
+    assert err["message"] == message.format(cfg=str(cfg))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_wkb_too_few_points_rejected(tmp_path, capsys, n):
+    out = tmp_path / "out"
+    assert main(["wkb", "--tag", "adjacent", "--n", n,
+                 "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["kind"] == "validation"
+    assert err["message"] == f"--n must be at least 2, got {n}"
     assert not out.exists()
 
 

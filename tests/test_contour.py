@@ -24,17 +24,17 @@ SQRT_IX_LOWER = with_branch(SQRT_IX, Branch.LOWER)
 # --- sampling -----------------------------------------------------------------
 
 def test_sample_reference_contour_at_origin():
-    z = sample(LOWER_PT, [0.0])[0].z
+    z = sample(LOWER_PT, [0.0])[0]
     assert abs(z - (-2j)) < 1e-14
 
 
 def test_sample_adjacent_contour_at_origin():
-    z = sample(ADJACENT, [0.0])[0].z
+    z = sample(ADJACENT, [0.0])[0]
     assert abs(z - 1.0) < 1e-14
 
 
 def test_sample_sqrt_ix_upper_root():
-    z = sample(SQRT_IX_UPPER, [1.0])[0].z
+    z = sample(SQRT_IX_UPPER, [1.0])[0]
     assert abs(z - cmath.exp(1j * math.pi / 4)) < 1e-14
 
 
@@ -44,17 +44,17 @@ def test_sample_square_identity():
     for params in (LOWER_PT, UPPER_PT, ADJACENT, SQRT_IX_UPPER, SQRT_IX_LOWER):
         xs = [rng.uniform(-40, 40) for _ in range(50)]
         a2 = complex(params.a) ** 2
-        for s in sample(params, xs):
-            target = a2 * (complex(params.b) + 1j * complex(params.c) * s.x)
+        for x, z in zip(xs, sample(params, xs)):
+            target = a2 * (complex(params.b) + 1j * complex(params.c) * x)
             scale = max(abs(target), 1e-30)
-            assert abs(s.z ** 2 - target) / scale < 1e-12
+            assert abs(z ** 2 - target) / scale < 1e-12
 
 
 def test_sample_branch_continuity_through_real_axis():
     # upper branch of sqrt(1+ix) hits a real root at x = 0; continuity picks
     # the sign that continues the previous sample
     xs = np.linspace(-1.0, 1.0, 21)
-    zs = [s.z for s in sample(with_branch(ADJACENT, Branch.UPPER), xs)]
+    zs = sample(with_branch(ADJACENT, Branch.UPPER), xs)
     mid = zs[10]
     assert abs(mid - (-1.0)) < 1e-12      # continues the x < 0 arc
 

@@ -147,9 +147,7 @@ def test_isometry_report_fields():
     rep = verify_isometry(ADJACENT, LOWER_PT, k=2)
     assert rep.beta == Fraction(-4)
     assert rep.gamma == Fraction(5, 4)
-    obj = rep.to_json_obj()
-    assert obj["beta"] == "-4"
-    assert len(obj["amplitude_tables"]["src"]) == 2
+    assert rep.amplitudes_src.shape == rep.amplitudes_dst.shape == (2, 2)
 
 
 def test_spectrum_invariance_across_contours():

@@ -4,7 +4,7 @@ import pytest
 from ptcontour.catalog import ADJACENT, SQRT_IX, UPPER_PT
 from ptcontour.wkb import (TAG_PARAMS, TAGS, compare_to_numeric, eval_wkb,
                            in_domain, metric_exponent, metric_weighted_wkb,
-                           profile, weighted_tail_integral)
+                           weighted_tail_integral)
 
 
 # --- pointwise behavior of the printed profiles --------------------------------
@@ -75,9 +75,11 @@ def test_masks():
 
 
 def test_profile_bundles_mask():
-    prof = profile("upper_pt", -5.0, 5.0, 101)
-    assert prof.mask.sum() < len(prof.p)
-    assert np.isfinite(prof.log_magnitude).all()
+    # the wkb subcommand's rows: finite log-magnitudes, flagged where a
+    # printed radicand is negative
+    ps = np.linspace(-5.0, 5.0, 101)
+    assert in_domain("upper_pt", ps).sum() < len(ps)
+    assert np.isfinite(eval_wkb("upper_pt", ps)).all()
 
 
 # --- metric weighting ----------------------------------------------------------------
