@@ -16,12 +16,11 @@ print("-" * 78)
 for params in STANDARD_FIVE:
     h1 = build_h1(params)
     h, f, g = hermitize(params)
-    swap = canonical_swap(h, params)
+    swapped = canonical_swap(h, params)
     assert is_hermitian(h) and not is_hermitian(h1)
     print(f"{params.label():12s}  h = {h!r}")
     print(f"{'':12s}  generator f = {f}, g = {g}")
-    print(f"{'':12s}  swap: {swap.operator!r}"
-          f"{'  (parity image)' if swap.parity_flipped else ''}")
+    print(f"{'':12s}  swap: {swapped!r}")
     print()
 
 print("Note how b never shows up in h: the b = 1 and b = 5 rows coincide.")

@@ -134,20 +134,19 @@ def _cmd_algebra_verify(args):
         ok = h == hermitian_form(params) and is_hermitian(h)
         check(f"hermitian-equivalent {params.label()}", ok, repr(h))
         try:
-            swap = canonical_swap(h, params)
+            swapped = canonical_swap(h, params)
         except ValueError as exc:
             ok, detail = False, str(exc)
         else:
-            ok = swap.operator == ANCHOR and not swap.parity_flipped
-            detail = f"parity_flipped={swap.parity_flipped}"
+            ok, detail = swapped == ANCHOR, repr(swapped)
         check(f"anchor-reduction {params.label()}", ok, detail)
         spec = metric_of(params)
         check(f"metric-coefficients {params.label()}",
-              spec.kappa3 == 2 * f.re and spec.kappa1 == 2 * g.re,
+              spec.kappa3 == 2 * f and spec.kappa1 == 2 * g,
               f"kappa3={spec.kappa3} kappa1={spec.kappa1}")
 
-    b_variants = [hermitize(ContourParams(catalog.LOWER_PT.a, GaussianRational(b),
-                                          catalog.LOWER_PT.c)).h
+    b_variants = [hermitize(dataclasses.replace(catalog.LOWER_PT,
+                                                b=GaussianRational(b))).h
                   for b in (0, 1, 5, -3)]
     check("b-independence", all(h == b_variants[0] for h in b_variants))
 
@@ -254,6 +253,9 @@ def _cmd_wedges(args):
 def _cmd_wkb(args):
     if args.n < 2:
         raise ValidationError(f"--n must be at least 2, got {args.n}")
+    if args.p_min == args.p_max:
+        raise ValidationError(
+            f"--p-min and --p-max must differ, both are {args.p_min}")
     tag = args.tag
     ps = np.linspace(args.p_min, args.p_max, args.n)
     logmag, mask = eval_wkb(tag, ps), in_domain(tag, ps)

@@ -23,8 +23,8 @@ import numpy as np
 from .errors import PushforwardMismatch
 from .metric import (MetricSpec, TaggedWaveFn, amplitude_matrix,
                      default_momentum_grid, eigenbasis, metric_of)
-from .opalg import ContourParams, _require_hermitizable
-from .rational import GaussianRational
+from .opalg import ContourParams
+from .rational import ONE, GaussianRational
 from .spectral import Grid
 
 
@@ -62,12 +62,17 @@ class IsoMap:
 
 
 def map_params(src: ContourParams, dst: ContourParams) -> IsoMap:
-    """Exact (beta, gamma) of the map from src onto dst."""
-    _require_hermitizable(src)
-    _require_hermitizable(dst)
-    beta = dst.a2c / src.a2c
-    gamma = dst.b / dst.c - (src.a * src.a * src.b) / dst.a2c
-    return IsoMap(beta=beta, gamma=gamma, source=src, target=dst)
+    """Exact (beta, gamma) of the map from src onto dst.
+
+    In the invariants (lam, rho) = (a^2 c, b/c) of each contour,
+    beta = lam_dst / lam_src and gamma = rho_dst - rho_src lam_src / lam_dst.
+    """
+    lam_src, rho_src = src.invariants()
+    lam_dst, rho_dst = dst.invariants()
+    # ONE * promotes the exact reals to the GaussianRational IsoMap fields
+    return IsoMap(beta=ONE * lam_dst / lam_src,
+                  gamma=ONE * (rho_dst - rho_src * lam_src / lam_dst),
+                  source=src, target=dst)
 
 
 def push_metric(m: IsoMap, eta1: MetricSpec) -> MetricSpec:

@@ -18,9 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NonIntegrable
-from .opalg import (ContourParams, _require_hermitizable, dyson_coefficients,
-                    hermitize)
-from .rational import GaussianRational
+from .opalg import ContourParams, dyson_coefficients, hermitize
 from .spectral import Grid, eigensolve_hermitian, matrixize
 
 _EXP_OVERFLOW = 700.0
@@ -38,25 +36,16 @@ class MetricSpec:
         return (Fraction(0), self.kappa1, Fraction(0), self.kappa3)
 
 
-def _real_fraction(v: GaussianRational, what: str) -> Fraction:
-    if not v.is_real():
-        raise ArithmeticError(f"{what} = {v} is not real")
-    return v.re
-
-
 def metric_of(params: ContourParams) -> MetricSpec:
-    """Metric coefficients kappa3 = -4/(3 a^6 c^3), kappa1 = -2 b/c.
+    """Metric coefficients kappa3 = -4/(3 (a^2 c)^3), kappa1 = -2 b/c.
 
-    These are twice the similarity-generator coefficients (eta is the square
-    of the similarity transformation).  Validity conditions are the same as
-    for the Hermitian equivalent; both coefficients come out exactly real.
+    These are twice the similarity-generator coefficients (f, g) of
+    :func:`dyson_coefficients` (eta is the square of the similarity
+    transformation), so the validity conditions are the same as for the
+    Hermitian equivalent.
     """
-    _require_hermitizable(params)
     f, g = dyson_coefficients(params)
-    return MetricSpec(
-        kappa3=_real_fraction(f * 2, "kappa3"),
-        kappa1=_real_fraction(g * 2, "kappa1"),
-    )
+    return MetricSpec(kappa3=2 * f, kappa1=2 * g)
 
 
 def simpson_weights(n: int, h: float) -> np.ndarray:
@@ -117,7 +106,7 @@ def eigenbasis(params: ContourParams, k: int, grid: Grid) -> list[TaggedWaveFn]:
     res = hermitize(params)
     vecs = eigensolve_hermitian(matrixize(res.h, grid), k).eigenvectors
     w = simpson_weights(grid.n, grid.spacing)
-    exponent = (Fraction(0), -res.g.re, Fraction(0), -res.f.re)
+    exponent = (Fraction(0), -res.g, Fraction(0), -res.f)
     out = []
     for i in range(k):
         v = vecs[:, i].astype(float)

@@ -9,7 +9,9 @@ The module builds the transformed Hamiltonian of a parametrized contour
 ``z(x) = a*sqrt(b + i c x)`` applied to ``p^2 - x^4``, conjugates it with
 ``exp(f p^3 + g p)`` into its Hermitian equivalent, and carries out the
 canonical substitutions that reduce every valid parameter choice to the
-single anchor operator ``p^2 + 4x^4 - 2x``.
+single anchor operator ``p^2 + 4x^4 - 2x``.  These read a contour only
+through its invariants ``a^2 c`` and ``b/c``, which
+:meth:`ContourParams.invariants` checks and returns as exact reals.
 """
 from __future__ import annotations
 
@@ -25,9 +27,9 @@ from .rational import GaussianRational, I, ONE
 
 
 def _coeff(value) -> GaussianRational:
-    if isinstance(value, GaussianRational):
-        return value
-    return GaussianRational(value)
+    if isinstance(value, (int, Fraction)):
+        return GaussianRational(value)
+    return value
 
 
 # (-i)^k for k mod 4
@@ -190,7 +192,11 @@ class Branch(Enum):
 
 @dataclass(frozen=True)
 class ContourParams:
-    """The triple (a, b, c) of ``z(x) = a*sqrt(b + i c x)`` plus branch policy."""
+    """The triple (a, b, c) of ``z(x) = a*sqrt(b + i c x)`` plus branch policy.
+
+    The algebra reads only the invariants ``a2c`` and ``b_over_c``; the
+    triple itself serves the geometry of the contour.
+    """
 
     a: GaussianRational
     b: GaussianRational
@@ -212,12 +218,24 @@ class ContourParams:
         return self.a * self.a * self.c
 
     @property
-    def real_a2c(self) -> bool:
-        return self.a2c.is_real()
+    def b_over_c(self) -> GaussianRational:
+        return self.b / self.c
 
-    @property
-    def real_b_over_c(self) -> bool:
-        return (self.b / self.c).is_real()
+    def invariants(self) -> tuple[Fraction, Fraction]:
+        """The invariants (a^2 c, b/c) as exact reals.
+
+        Every exact identity depends on the contour only through these two.
+        Raises :class:`NotHermitizable` when a^2 c is not real and
+        :class:`NonHermitianRho` when b/c is not real.
+        """
+        a2c, b_over_c = self.a2c, self.b_over_c
+        if not a2c.is_real():
+            raise NotHermitizable(
+                f"a^2 c = {a2c} is not real for {self.label()}")
+        if not b_over_c.is_real():
+            raise NonHermitianRho(
+                f"b/c = {b_over_c} is not real for {self.label()}")
+        return a2c.re, b_over_c.re
 
     def label(self) -> str:
         return f"({self.a},{self.b},{self.c})"
@@ -299,52 +317,41 @@ def bch_conjugate(s: OperatorExpr, a: OperatorExpr, max_depth: int = 16) -> Oper
 def build_h1(params: ContourParams) -> OperatorExpr:
     """Transformed Hamiltonian of p^2 - x^4 on the contour z = a*sqrt(b+icx).
 
-    Returns ``-(4/(a^2 c^2))(b+icx) p^2 - (2/(a^2 c)) p - a^4 (b+icx)^2``
-    expanded into canonical order.
+    With lam = a^2 c and beta = b/c it is
+    ``-(4/lam)(beta+ix) p^2 - (2/lam) p - lam^2 (beta+ix)^2``, expanded into
+    canonical order; it exists for every contour, admissible or not.
     """
-    a, b, c = params.a, params.b, params.c
-    a2 = a * a
-    w = OperatorExpr({(0, 0): b, (1, 0): I * c})          # b + i c x
+    lam, beta = params.a2c, params.b_over_c
+    w = OperatorExpr({(0, 0): beta, (1, 0): I})           # beta + i x
     p2 = OperatorExpr.monomial(0, 2)
-    term1 = multiply(w, p2).scale(GaussianRational(-4) / (a2 * c * c))
-    term2 = OperatorExpr.monomial(0, 1, GaussianRational(-2) / (a2 * c))
-    term3 = multiply(w, w).scale(-(a2 * a2))
+    term1 = multiply(w, p2).scale(-4 / lam)
+    term2 = OperatorExpr.monomial(0, 1, -2 / lam)
+    term3 = multiply(w, w).scale(-(lam * lam))
     return term1 + term2 + term3
 
 
-def dyson_coefficients(params: ContourParams) -> tuple[GaussianRational, GaussianRational]:
-    """Coefficients (f, g) of the similarity generator f p^3 + g p."""
-    a, b, c = params.a, params.b, params.c
-    f = GaussianRational(Fraction(-2, 3)) / (a ** 6 * c ** 3)
-    g = -(b / c)
-    return f, g
+def dyson_coefficients(params: ContourParams) -> tuple[Fraction, Fraction]:
+    """Coefficients f = -2/(3 lam^3), g = -beta of the similarity generator
+    f p^3 + g p, in the invariants (lam, beta) = (a^2 c, b/c)."""
+    lam, beta = params.invariants()
+    return Fraction(-2, 3) / lam ** 3, -beta
 
 
 class HermitizeResult(NamedTuple):
     h: OperatorExpr
-    f: GaussianRational
-    g: GaussianRational
-
-
-def _require_hermitizable(params: ContourParams) -> None:
-    if not params.real_a2c:
-        raise NotHermitizable(
-            f"a^2 c = {params.a2c} is not real for {params.label()}")
-    if not params.real_b_over_c:
-        raise NonHermitianRho(
-            f"b/c = {params.b / params.c} is not real for {params.label()}")
+    f: Fraction
+    g: Fraction
 
 
 def hermitize(params: ContourParams) -> HermitizeResult:
     """Conjugate the transformed Hamiltonian into its Hermitian equivalent.
 
-    Chooses f = -2/(3 a^6 c^3), g = -b/c and returns
-    ``h = exp(S) H1 exp(-S)`` with ``S = f p^3 + g p``.  The result is
-    independent of b and Hermitian whenever a^2 c and b/c are real; it must
-    coincide term-for-term with :func:`hermitian_form`, which builds the
-    same operator from its closed-form coefficients without any commutators.
+    Returns ``h = exp(S) H1 exp(-S)`` with ``S = f p^3 + g p`` and (f, g)
+    from :func:`dyson_coefficients`.  The result is independent of b and
+    Hermitian whenever a^2 c and b/c are real; it must coincide
+    term-for-term with :func:`hermitian_form`, which builds the same
+    operator from its closed-form coefficients without any commutators.
     """
-    _require_hermitizable(params)
     f, g = dyson_coefficients(params)
     s = OperatorExpr({(0, 3): f, (0, 1): g})
     h = bch_conjugate(s, build_h1(params))
@@ -354,16 +361,13 @@ def hermitize(params: ContourParams) -> HermitizeResult:
 def hermitian_form(params: ContourParams) -> OperatorExpr:
     """Closed-form Hermitian equivalent, built directly from coefficients.
 
-    ``(4/(a^8 c^4)) p^4 + (2/(a^2 c)) p + (a^4 c^2) x^2`` -- the independent
-    route against which the commutator-series construction is checked.
+    ``(4/lam^4) p^4 + (2/lam) p + lam^2 x^2`` with lam = a^2 c -- the
+    independent route against which the commutator-series construction is
+    checked.
     """
-    _require_hermitizable(params)
-    a2c = params.a2c
-    return OperatorExpr({
-        (0, 4): GaussianRational(4) / a2c ** 4,
-        (0, 1): GaussianRational(2) / a2c,
-        (2, 0): a2c ** 2,
-    })
+    lam, _ = params.invariants()
+    return OperatorExpr({(0, 4): 4 / lam ** 4, (0, 1): 2 / lam,
+                         (2, 0): lam ** 2})
 
 
 def substitute_linear(a: OperatorExpr, x_image: OperatorExpr,
@@ -393,25 +397,16 @@ def substitute_linear(a: OperatorExpr, x_image: OperatorExpr,
 ANCHOR = OperatorExpr({(0, 2): ONE, (4, 0): GaussianRational(4),
                        (1, 0): GaussianRational(-2)})
 
-#: parity image of the anchor (x -> -x)
-ANCHOR_PARITY = OperatorExpr({(0, 2): ONE, (4, 0): GaussianRational(4),
-                              (1, 0): GaussianRational(2)})
 
-
-class SwapResult(NamedTuple):
-    operator: OperatorExpr
-    parity_flipped: bool
-
-
-def canonical_swap(h: OperatorExpr, params: ContourParams) -> SwapResult:
+def canonical_swap(h: OperatorExpr, params: ContourParams) -> OperatorExpr:
     """Map the Hermitian equivalent onto the anchor operator.
 
     Applies the single canonical substitution x -> p/(a^2 c),
     p -> -(a^2 c) x: the swap x -> 2p/(a^2 c), p -> -(a^2 c) x / 2 (which
     alone gives ``4p^2 + x^4/4 - x``, unitarily equivalent to but not
     literally the anchor) composed with the unitary dilation
-    (x, p) -> (2x, p/2).  It lands on ``p^2 + 4x^4 - 2x`` (or its parity
-    image, reported through the flag).
+    (x, p) -> (2x, p/2).  Returns the image, which is ``p^2 + 4x^4 - 2x``
+    for the output of :func:`hermitize`, and raises ``ValueError`` otherwise.
     """
     a2c = params.a2c
     mapped = substitute_linear(
@@ -419,9 +414,6 @@ def canonical_swap(h: OperatorExpr, params: ContourParams) -> SwapResult:
         OperatorExpr.monomial(0, 1, ONE / a2c),
         OperatorExpr.monomial(1, 0, -a2c),
     )
-    if mapped == ANCHOR:
-        return SwapResult(mapped, False)
-    if mapped == ANCHOR_PARITY:
-        return SwapResult(mapped, True)
-    raise ValueError(
-        f"canonical swap produced neither anchor form: {mapped!r}")
+    if mapped != ANCHOR:
+        raise ValueError(f"canonical swap missed the anchor: {mapped!r}")
+    return mapped

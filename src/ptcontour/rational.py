@@ -30,11 +30,7 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def i(cls) -> "GaussianRational":
-        return cls(0, 1)
+    # -- coercion -------------------------------------------------------
 
     @classmethod
     def _coerce(cls, other):
@@ -44,24 +40,6 @@ class GaussianRational:
             return cls(other)
         return NotImplemented
 
-    # -- exposed integer fields ------------------------------------------
-
-    @property
-    def re_num(self) -> int:
-        return self.re.numerator
-
-    @property
-    def re_den(self) -> int:
-        return self.re.denominator
-
-    @property
-    def im_num(self) -> int:
-        return self.im.numerator
-
-    @property
-    def im_den(self) -> int:
-        return self.im.denominator
-
     # -- predicates -------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -69,9 +47,6 @@ class GaussianRational:
 
     def is_real(self) -> bool:
         return self.im == 0
-
-    def is_imaginary(self) -> bool:
-        return self.re == 0
 
     # -- arithmetic -------------------------------------------------------
 

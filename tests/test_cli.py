@@ -7,7 +7,7 @@ import pytest
 
 from ptcontour.cli import main, parse_complex, parse_contour
 from ptcontour.errors import NotConverged, ParseError, PushforwardMismatch
-from ptcontour.opalg import ANCHOR_PARITY, SwapResult
+from ptcontour.opalg import OperatorExpr
 from ptcontour.rational import GaussianRational as Q
 
 
@@ -79,7 +79,8 @@ def _raise(exc):
 
 
 @pytest.mark.parametrize("target,patch,failing", [
-    ("canonical_swap", lambda h, params: SwapResult(ANCHOR_PARITY, True),
+    ("canonical_swap",      # the parity image p^2 + 4x^4 + 2x, not the anchor
+     lambda h, params: OperatorExpr({(0, 2): 1, (4, 0): 4, (1, 0): 2}),
      "anchor-reduction"),
     ("canonical_swap", _raise(ValueError("neither anchor form")),
      "anchor-reduction"),
@@ -292,14 +293,26 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert err["error"]["kind"] == "parse"
 
 
-def test_exit_code_validation_error(tmp_path, capsys):
-    # a^2 c = i is not real: no Hermitian equivalent
-    code = main(["spectrum", "--a", "1", "--b", "1", "--c", "i",
-                 "--out", str(tmp_path)])
-    assert code == 2
-    err = json.loads(capsys.readouterr().out)
-    assert err["error"]["kind"] == "validation"
-    assert err["error"]["type"] == "NotHermitizable"
+_A2C = ("NotHermitizable", "a^2 c = i is not real for (1,1,i)")
+_B_OVER_C = ("NonHermitianRho", "b/c = i is not real for (-2i,i,1)")
+
+
+@pytest.mark.parametrize("argv,error", [
+    pytest.param(["spectrum", "--a", "1", "--b", "1", "--c", "i"], _A2C,
+                 id="spectrum-a2c"),
+    pytest.param(["spectrum", "--a", "-2i", "--b", "i", "--c", "1"],
+                 _B_OVER_C, id="spectrum-b-over-c"),
+    pytest.param(["iso-check", "--src", "-2i,1,1", "--dst", "1,1,i"], _A2C,
+                 id="iso-check-a2c"),
+    pytest.param(["iso-check", "--src", "-2i,1,1", "--dst", "-2i,i,1"],
+                 _B_OVER_C, id="iso-check-b-over-c"),
+])
+def test_exit_code_validation_error(tmp_path, capsys, argv, error):
+    # a complex a^2 c has no Hermitian equivalent; a complex b/c no Hermitian
+    # similarity transformation
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert (err["kind"], err["type"], err["message"]) == ("validation", *error)
 
 
 _SPECTRUM = ["spectrum", "--a", "-2i", "--b", "1", "--c", "1", "--levels"]
@@ -374,6 +387,32 @@ def test_wkb_too_few_points_rejected(tmp_path, capsys, n):
     assert err["kind"] == "validation"
     assert err["message"] == f"--n must be at least 2, got {n}"
     assert not out.exists()
+
+
+def test_wkb_empty_range_rejected(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["wkb", "--tag", "adjacent", "--p-min", "1", "--p-max", "1",
+                 "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "ValidationError"
+    assert err["message"] == "--p-min and --p-max must differ, both are 1.0"
+    assert not out.exists()
+
+
+def test_wkb_reversed_range_runs_backwards(tmp_path, capsys):
+    # p runs from --p-min to --p-max, so a reversed range reverses the axis
+    ends = {}
+    for name, lo, hi in (("fwd", "-5", "5"), ("rev", "5", "-5")):
+        out = tmp_path / name
+        assert main(["wkb", "--tag", "adjacent", "--p-min", lo, "--p-max", hi,
+                     "--n", "11", "--out", str(out)]) == 0
+        ends[name] = json.loads(capsys.readouterr().out)
+        ps = [float(row.split(",")[0]) for row
+              in (out / "wkb_adjacent.csv").read_text().splitlines()[1:]]
+        assert ps[0] == float(lo) and ps[-1] == float(hi)
+        assert (out / "wkb_adjacent.svg").is_file()
+    for key in ("log_magnitude_at_ends", "weighted_at_ends"):
+        assert ends["rev"][key] == ends["fwd"][key][::-1]
 
 
 def test_exit_code_numerical_error(tmp_path, capsys, monkeypatch):

@@ -16,7 +16,7 @@ from ptcontour.errors import (NonHermitianRho, NonTerminating, NotCanonical,
                               NotHermitizable)
 from ptcontour.catalog import (ADJACENT, LOWER_PT, LOWER_PT_B5, SQRT_IX,
                                STANDARD_FIVE, UPPER_PT)
-from ptcontour.opalg import (ANCHOR, ANCHOR_PARITY, ContourParams,
+from ptcontour.opalg import (ANCHOR, ContourParams,
                              OperatorExpr, adjoint, bch_conjugate, build_h1,
                              _reorder_p_x, canonical_swap, commutator,
                              dyson_coefficients, hermitian_form, hermitize,
@@ -376,18 +376,15 @@ def test_substitute_rejects_non_canonical():
 
 def test_canonical_swap_all_contours_reach_anchor():
     # the composite substitution + dilation lands on p^2 + 4x^4 - 2x for the
-    # whole matrix; the parity image never occurs for these parameters
+    # whole matrix (tests/test_symbolic.py proves it for every contour)
     for params in STANDARD_FIVE:
-        res = canonical_swap(hermitize(params).h, params)
-        assert res.operator == ANCHOR
-        assert res.parity_flipped is False
+        assert canonical_swap(hermitize(params).h, params) == ANCHOR
 
 
 def test_canonical_swap_parity_flag_on_parity_image():
-    # feed the parity image through the inverse-direction check to confirm
-    # the flag fires when the swapped operator is the +2x form
+    # the mirrored operator swaps onto the parity image p^2 + 4x^4 + 2x,
+    # which is not the anchor, so the swap refuses it
     h = hermitize(UPPER_PT).h
     mirrored = substitute_linear(h, -1 * X, -1 * P)   # x -> -x, p -> -p
-    res = canonical_swap(mirrored, UPPER_PT)
-    assert res.parity_flipped is True
-    assert res.operator == ANCHOR_PARITY
+    with pytest.raises(ValueError, match=r"missed the anchor: p\^2 \+ 2\*x"):
+        canonical_swap(mirrored, UPPER_PT)

@@ -11,8 +11,8 @@ import pytest
 from ptcontour.catalog import LOWER_PT, STANDARD_FIVE
 from ptcontour.errors import GridTooCoarse, NotConverged, NotHermitian
 from ptcontour.metric import default_momentum_grid, eigenbasis
-from ptcontour.opalg import (ANCHOR, ANCHOR_PARITY, ContourParams,
-                             OperatorExpr, build_h1, hermitize)
+from ptcontour.opalg import (ANCHOR, ContourParams, OperatorExpr, build_h1,
+                             hermitize)
 from ptcontour.rational import GaussianRational as Q
 from ptcontour.reference import REFERENCE_LEVELS
 from ptcontour.spectral import (_STENCILS, Grid, band_to_dense,
@@ -22,6 +22,8 @@ from ptcontour.spectral import (_STENCILS, Grid, band_to_dense,
 
 OSC_MINUS_ONE = OperatorExpr({(0, 2): Q(1), (2, 0): Q(1), (0, 0): Q(-1)})
 OSC = OperatorExpr({(0, 2): Q(1), (2, 0): Q(1)})
+#: parity image p^2 + 4x^4 + 2x of the anchor (x -> -x)
+ANCHOR_PARITY = OperatorExpr({(0, 2): Q(1), (4, 0): Q(4), (1, 0): Q(2)})
 
 
 def derivative_matrix(n: int, h: float, order: int) -> np.ndarray:
