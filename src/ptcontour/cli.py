@@ -33,7 +33,7 @@ from .opalg import (ANCHOR, Branch, ContourParams, OperatorExpr,
                     bch_conjugate, canonical_swap, hermitian_form, hermitize,
                     is_hermitian)
 from .rational import GaussianRational
-from .spectral import eigensolve_hermitian, matrixize
+from .spectral import Grid, check_levels, eigensolve_hermitian, matrixize
 from .wkb import TAGS, eval_wkb, in_domain, metric_weighted_wkb
 
 _NUMBER = r"(?:\d+/\d+|\d+\.\d+|\.\d+|\d+)"
@@ -173,8 +173,7 @@ def _cmd_algebra_verify(args):
     return payload
 
 
-def _spectrum_payload(params: ContourParams, levels: int, n: int):
-    grid = default_momentum_grid(params, n=n)
+def _spectrum_payload(params: ContourParams, levels: int, grid: Grid):
     h = hermitize(params).h
     result = eigensolve_hermitian(matrixize(h, grid), levels, grid=grid)
     ref = reference.REFERENCE_LEVELS[:levels]
@@ -190,7 +189,8 @@ def _spectrum_payload(params: ContourParams, levels: int, n: int):
 
 def _cmd_spectrum(args):
     params = _params_from_args(args)
-    payload = _spectrum_payload(params, args.levels, args.grid_n)
+    payload = _spectrum_payload(
+        params, args.levels, default_momentum_grid(params, n=args.grid_n))
     out = _outdir(args)
     if "json" in args.formats:
         write_json(out / "spectrum.json", payload)
@@ -336,13 +336,15 @@ def _cmd_sweep(args):
         params = ContourParams(parse_complex(sec.get("a")),
                                parse_complex(sec.get("b")),
                                parse_complex(sec.get("c")))
-        jobs.append((section, params,
-                     sec.getint("levels", fallback=args.levels),
-                     sec.getint("grid_n", fallback=args.grid_n)))
+        levels = sec.getint("levels", fallback=args.levels)
+        check_levels(levels)
+        grid = default_momentum_grid(
+            params, n=sec.getint("grid_n", fallback=args.grid_n))
+        jobs.append((section, params, levels, grid))
     out = _outdir(args)
     summary = {}
-    for section, params, lv, n in jobs:
-        payload = _spectrum_payload(params, lv, n)
+    for section, params, levels, grid in jobs:
+        payload = _spectrum_payload(params, levels, grid)
         if "json" in args.formats:
             write_json(out / f"spectrum_{section}.json", payload)
         summary[section] = {

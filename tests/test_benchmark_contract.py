@@ -29,7 +29,9 @@ def test_every_traced_target_resolves():
 
 
 @pytest.mark.parametrize("name", ["spectra", "isometry", "sweep"])
-def test_first_op_passes_its_check(tmp_path, name):
+def test_one_cycle_passes_its_check(tmp_path, name):
+    # a cycle is every grid size, level count and ANCHOR op the workload runs
     workload = _load("workloads").WORKLOADS[name](1, tmp_path)
-    passed, _ = workload.check(0, workload.call(0))
-    assert passed
+    for i in range(workload.cycle):
+        passed, _ = workload.check(i, workload.call(i))
+        assert passed, (name, i)

@@ -350,6 +350,9 @@ def test_unknown_format_rejected_before_any_work(tmp_path, capsys,
     assert not out.exists()
 
 
+_SWEEP_OK = "[s0]\na = -2i\nb = 1\nc = 1\n\n"
+
+
 @pytest.mark.parametrize("text,code,message", [
     pytest.param("a = 1\n", 4, "MissingSectionHeaderError: {cfg!r} line 1",
                  id="no-section-header"),
@@ -362,6 +365,14 @@ def test_unknown_format_rejected_before_any_work(tmp_path, capsys,
     pytest.param("[a\\b]\na = -2i\nb = 1\nc = 1\n", 2,
                  "section name [a\\b] contains a path separator",
                  id="backslash-in-section"),
+    # a valid first section: the later one fails before either is solved
+    pytest.param(_SWEEP_OK + "[s1]\na = -2i\nb = 1\nc = 1\ngrid_n = 10\n",
+                 2, "grid needs at least 16 points", id="grid-n-10"),
+    pytest.param(_SWEEP_OK + "[s1]\na = -2i\nb = 1\nc = 1\nlevels = 0\n",
+                 2, "the level count must be at least 1, got 0",
+                 id="levels-0"),
+    pytest.param(_SWEEP_OK + "[s1]\na = -2i\nb = 1\nc = 1\nlevels = 13\n",
+                 2, "at most 12 eigenpairs are retained", id="levels-13"),
 ])
 def test_sweep_bad_config_rejected_before_any_work(tmp_path, capsys,
                                                     monkeypatch, text, code,

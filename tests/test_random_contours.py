@@ -1,19 +1,26 @@
-"""Exact identities over randomly drawn admissible contours.
+"""Exact identities and spectra over randomly drawn admissible contours.
 
 Every admissible contour has a = u + vi, c = t * conj(a)^2 and b = s * c
 with t a nonzero rational, so a^2 c = t |a|^4 and b/c = s are real.  The
 identities that the catalog tests check on five contours must hold, with
-zero tolerance, on each of these draws too.
+zero tolerance, on each of these draws too.  The banded spectra of the
+draws must match a dense reference level for level, and the isometry check
+must pass or raise a typed error.
 """
 import random
 from fractions import Fraction
 
+import numpy as np
+import pytest
+
 from ptcontour.catalog import LOWER_PT
-from ptcontour.isomap import map_params, push_metric
-from ptcontour.metric import metric_of
+from ptcontour.errors import PtContourError
+from ptcontour.isomap import map_params, push_metric, verify_isometry
+from ptcontour.metric import default_momentum_grid, metric_of
 from ptcontour.opalg import (ANCHOR, ContourParams, canonical_swap,
                              hermitian_form, hermitize, is_hermitian)
 from ptcontour.rational import GaussianRational as Q
+from ptcontour.spectral import band_to_dense, eigensolve_hermitian, matrixize
 
 _HALVES = [Fraction(k, 2) for k in range(-4, 5)]     # -2, -3/2, ..., 2
 
@@ -56,3 +63,28 @@ def test_exact_identities_on_random_contours():
         direct = map_params(p0, p3)
         assert (left.beta, left.gamma) == (right.beta, right.gamma) \
             == (direct.beta, direct.gamma)
+
+
+@pytest.mark.parametrize("n", [201, 401])
+def test_banded_levels_match_dense_reference(n):
+    # the dense spectrum is the whole spectrum: no level can be skipped
+    import scipy.linalg as sla
+    for params in random_contours(8):
+        grid = default_momentum_grid(params, n=n)
+        ab = matrixize(hermitize(params).h, grid)
+        assert not ab.imag.any()      # so the real dense solver applies
+        dense = sla.eigvalsh(band_to_dense(ab.real))
+        for k in (5, 12):
+            levels = eigensolve_hermitian(ab, k, grid=grid).real_parts()
+            assert np.abs(levels - dense[:k]).max() \
+                < 1e-11 * np.abs(dense[:k]).max()
+
+
+def test_isometry_on_random_pairs_passes_or_raises_typed():
+    draws = random_contours(8)
+    for src, dst in zip(draws[:4], draws[4:]):
+        try:
+            report = verify_isometry(src, dst, k=3, n=401)
+        except PtContourError:
+            continue
+        assert report.passed, (src, dst, report.max_deviation)

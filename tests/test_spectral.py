@@ -241,7 +241,98 @@ def test_momentum_representation_matches_reference():
         / np.array(REFERENCE_LEVELS[:5])
     assert rel.max() < 1e-5
     assert max(res.residual_norms) < 1e-8
-    assert res.method == "eig_banded"
+    assert res.method == "eig_banded/4+rqi"
+
+
+def banded_levels(ab, k):
+    """Reference: LAPACK's lowest k values of the band itself."""
+    import scipy.linalg as sla
+    u = ab.shape[0] // 2
+    return sla.eig_banded(ab[:u + 1], eigvals_only=True, select="i",
+                          select_range=(0, k - 1))
+
+
+def assert_banded_levels(ab, res, k):
+    ref = banded_levels(ab, k)
+    assert np.abs(res.real_parts() - ref).max() < 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n,k", [(17, 5), (201, 12)])
+def test_fine_band_seeds_when_coarse_cannot(n, k):
+    # n=17 leaves the coarse band 3 columns for 6 seeds; at n=201 the
+    # coarse seed of level 12 is too far off to use
+    for params in STANDARD_FIVE:
+        grid = default_momentum_grid(params, n=n)
+        ab = matrixize(hermitize(params).h, grid)
+        res = eigensolve_hermitian(ab, k, grid=grid)
+        assert res.method == "eig_banded+rqi"
+        assert_banded_levels(ab, res, k)
+
+
+@pytest.mark.parametrize("op,n", [
+    # eigenvectors of a multiplication operator are single grid points
+    (OperatorExpr({(2, 0): Q(1), (1, 0): Q(Fraction(1, 10))}), 801),
+    # levels of width 0.02, below the coarse spacing 0.12
+    (OperatorExpr({(0, 2): Q(Fraction(1, 10 ** 7)), (2, 0): Q(1),
+                   (1, 0): Q(Fraction(1, 10))}), 401),
+    # a band eightfold coarser than 27 points holds no 6 levels
+    (ANCHOR, 27),
+], ids=["x^2+x/10", "1e-7p^2+x^2+x/10", "anchor-n27"])
+def test_unresolved_levels_are_not_coarse_seeded(op, n):
+    # the fourfold band misses or misplaces levels of the full band here
+    ab = matrixize(op, Grid("position", -6.0, 6.0, n))
+    res = eigensolve_hermitian(ab, 5)
+    assert res.method == "eig_banded+rqi"
+    assert_banded_levels(ab, res, 5)
+
+
+def test_coarse_band_equals_coarse_grid_matrix():
+    from ptcontour.spectral import _coarsened
+    cases = [(ANCHOR, Grid("position", -6.0, 6.0, 801)),
+             (OSC, Grid("position", -10.0, 10.0, 201)),
+             (OperatorExpr({(0, 2): Q(1), (0, 1): Q(1), (2, 0): Q(1)}),
+              Grid("position", -10.0, 10.0, 401))]
+    cases += [(hermitize(p).h, default_momentum_grid(p, n=1601))
+              for p in STANDARD_FIVE]
+    for op, g in cases:
+        ab = matrixize(op, g)
+        coarse = _coarsened(ab, 4, 5)
+        u, m = ab.shape[0] // 2, (g.n - 1) // 4 + 1
+        want = matrixize(op, Grid(g.variable, g.lo, g.hi, m))[:, 1:-1]
+        # the upper triangle, the part eig_banded reads, inside the matrix
+        for r in range(u + 1):
+            err = np.abs(coarse[r, u - r:] - want[r, u - r:]).max()
+            assert err < 1e-13 * np.abs(ab).max()
+
+
+def test_band_of_no_stencil_sums_is_not_coarsened():
+    # a tridiagonal band is not a sum of the stencils of half-width <= 1
+    import ptcontour.spectral as spectral
+    ab = np.zeros((3, 64))
+    ab[0, 1:], ab[1], ab[2, :-1] = -1.0, np.linspace(2.0, 3.0, 64), -1.0
+    assert spectral._coarsened(ab, 4, 4) is None
+    res = eigensolve_hermitian(ab, 4)
+    assert res.method == "eig_banded+rqi"
+    assert_banded_levels(ab, res, 4)
+
+
+def test_guard_catches_misplaced_seeds(monkeypatch):
+    # seeds 3 above the anchor levels (spacings 4.5-7.4) lie nearer to the
+    # next level up, so the iteration from the lowest seed finds level 1
+    import ptcontour.spectral as spectral
+    coarsened = spectral._coarsened
+
+    def shifted(band, ratio, k):
+        coarse = coarsened(band, ratio, k)
+        if ratio == 4:      # the eightfold band inherits the shift
+            coarse[coarse.shape[0] // 2] += 3.0
+        return coarse
+    monkeypatch.setattr(spectral, "_coarsened", shifted)
+    g = Grid("position", -6.0, 6.0, 801)
+    ab = matrixize(ANCHOR, g)
+    res = eigensolve_hermitian(ab, 5, grid=g)
+    assert res.method == "eig_banded+rqi"
+    assert_banded_levels(ab, res, 5)
 
 
 def test_residual_gate_wired(monkeypatch):
