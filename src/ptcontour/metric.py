@@ -4,10 +4,10 @@ Wavefunctions are stored factored: a smooth, numerically tame factor on a
 momentum grid together with an exact cubic polynomial exponent that is only
 ever combined analytically.  Transition amplitudes add the bra, ket and
 metric exponents as exact rationals first; for every matched contour/metric
-pair the sum cancels to zero identically, so finiteness of the amplitudes is
-structural rather than a floating-point accident.  Only when the combined
-exponent is genuinely nonzero does any exponential get evaluated, in
-log-magnitude form.
+pair the sum cancels to zero identically, so the amplitudes are finite by
+structure, and a basis sharing one such exponent gets its whole amplitude
+matrix from one array product F^H diag(w) F.  Only a combined exponent
+that is genuinely nonzero is ever exponentiated, in log-magnitude form.
 """
 from __future__ import annotations
 
@@ -168,12 +168,17 @@ def amplitude(u: TaggedWaveFn, v: TaggedWaveFn, eta: MetricSpec) -> complex:
 
 
 def amplitude_matrix(basis: list[TaggedWaveFn], eta: MetricSpec) -> np.ndarray:
-    k = len(basis)
-    out = np.zeros((k, k), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            out[i, j] = amplitude(basis[i], basis[j], eta)
-    return out
+    """:func:`amplitude` of every pair, in one array product F^H diag(w) F
+    of the factors F if the basis shares one grid and one exponent eta
+    cancels; summed as :func:`amplitude` sums, so the bits are the same."""
+    u = basis[0] if basis else None
+    if u and not any(_combined_exponent(u, u, eta)) and all(
+            (v.grid, v.exponent) == (u.grid, u.exponent) for v in basis):
+        f = np.stack([v.factor for v in basis])
+        w = simpson_weights(u.grid.n, u.grid.spacing)
+        return (w * (f.conj()[:, None] * f)).sum(axis=-1).astype(complex)
+    return np.array([[amplitude(a, b, eta) for b in basis] for a in basis],
+                    dtype=complex).reshape(len(basis), len(basis))
 
 
 # ---------------------------------------------------------------------------

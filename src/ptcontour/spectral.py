@@ -12,11 +12,13 @@ matrix of a term is one stencil scaled by rows (position) or by columns
 have no grid-scale sawtooth null modes: the lowest eigenpairs of the matrix
 are the physical ones.  Matrices are stored as LAPACK band arrays of
 half-bandwidth u at most 3, so storage costs O(n).  The eigenvalues are found
-coarse to fine: LAPACK's ``?sbevx``, whose band-to-tridiagonal reduction
-costs O(m^2 u), runs on the band coarsened fourfold (m ~ n/4 points), and
-Rayleigh-quotient iteration on the band itself refines each value and finds
-its vector with a few O(n u^2) banded solves.  ``scipy.linalg`` is imported
-at the first solve, so that commands which solve nothing do not load it.
+coarse to fine: LAPACK's ``?sbevx`` (``?hbevx`` for a complex band), whose
+O(m^2 u) band-to-tridiagonal reduction runs on the band coarsened fourfold
+(m ~ n/4 points), and Rayleigh-quotient iteration on the band itself refines
+each value and finds its vector with a few O(n u^2) ``?gbsv`` solves.  Both
+drivers are called as ``eig_banded`` and ``solve_banded`` call them, less
+their per-call copies.  ``scipy.linalg`` is imported at the first solve, so
+that commands which solve nothing do not load it.
 """
 from __future__ import annotations
 
@@ -185,12 +187,18 @@ def _coarsened(band: np.ndarray, ratio: int, k: int) -> np.ndarray | None:
 def _seeds(band: np.ndarray, k: int):
     """The lowest k values of a band, and each one's distance to the nearest
     other of its lowest k + 1 (k if the band has only k columns)."""
-    import scipy.linalg as sla
-    u = band.shape[0] // 2
+    from scipy.linalg.lapack import get_lapack_funcs
     top = k if band.shape[1] > k else k - 1
-    vals = sla.eig_banded(band[:u + 1], eigvals_only=True, select="i",
-                          select_range=(0, top))
-    gaps = np.diff(vals)
+    upper = np.asarray_chkfinite(band[:band.shape[0] // 2 + 1])
+    name = "hbevx" if upper.dtype.kind == "c" else "sbevx"
+    bevx, = get_lapack_funcs((name,), (upper,))
+    # as eig_banded(eigvals_only=True, select="i") calls it; tiny = dlamch('s')
+    vals, _, m, _, info = bevx(upper, 0.0, 1.0, 1, top + 1, compute_v=0,
+                               mmax=1, range=2, lower=0, overwrite_ab=0,
+                               abstol=2 * np.finfo(float).tiny)
+    if info:
+        raise NotConverged(f"{bevx.typecode}{name} failed with info {info}")
+    gaps = np.diff(vals[:m])
     return vals[:k], np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf])[:k]
 
 
@@ -203,14 +211,19 @@ def _rayleigh_refine(sym: np.ndarray, lam: float, tol: float):
     the last Rayleigh quotient and its unit vector once the residual is below
     ``tol``, or after ``_RQI_STEPS`` steps.
     """
-    from scipy.linalg import solve_banded
+    from scipy.linalg.lapack import get_lapack_funcs
     u, n = sym.shape[0] // 2, sym.shape[1]
     v = np.linspace(1.0, 2.0, n)
+    gbsv, = get_lapack_funcs(("gbsv",), (sym, v))
+    # the band below u rows of LU fill-in; in Fortran order, factored in place
+    work = np.zeros((3 * u + 1, n), dtype=gbsv.dtype, order="F")
     for _ in range(_RQI_STEPS):
         shift = lam + 1e-10 * max(1.0, abs(lam))
-        shifted = sym.copy()
-        shifted[u] -= shift
-        w = solve_banded((u, u), shifted, v, check_finite=False)
+        work[u:] = sym
+        work[2 * u] -= shift
+        _, _, w, info = gbsv(u, u, work, v, overwrite_ab=1)
+        if info:
+            raise NotConverged(f"{gbsv.typecode}gbsv failed with info {info}")
         norm = np.linalg.norm(w)
         # (A - shift) w = v, so A x = shift x + v / norm for x = w / norm
         x = w / norm
@@ -318,7 +331,7 @@ def _richardson(coarse, fine, h_coarse, h_fine):
     return (np.asarray(coarse) * w_f - np.asarray(fine) * w_c) / (w_f - w_c)
 
 
-def oracle_spectrum(levels: int = 5, operator: OperatorExpr | None = None) -> np.ndarray:
+def oracle_spectrum(levels: int = 5) -> np.ndarray:
     """Grid-refinement spectrum of the anchor p^2 + 4x^4 - 2x.
 
     Diagonalizes on [-6, 6] at n = 801, 1201, 1601, Richardson-extrapolates
@@ -328,14 +341,11 @@ def oracle_spectrum(levels: int = 5, operator: OperatorExpr | None = None) -> np
     """
     if not 1 <= levels <= 8:
         raise ValueError("levels must be between 1 and 8")
-    op = ANCHOR if operator is None else operator
-    per_grid = []
-    spacings = []
-    for n in REFERENCE_GRID_SIZES:
-        grid = Grid("position", *REFERENCE_DOMAIN, n)
-        per_grid.append(
-            eigensolve_hermitian(matrixize(op, grid), levels).real_parts())
-        spacings.append(grid.spacing)
+    grids = [Grid("position", *REFERENCE_DOMAIN, n)
+             for n in REFERENCE_GRID_SIZES]
+    per_grid = [eigensolve_hermitian(matrixize(ANCHOR, g), levels).real_parts()
+                for g in grids]
+    spacings = [g.spacing for g in grids]
     extrap_1 = _richardson(per_grid[0], per_grid[1], spacings[0], spacings[1])
     extrap_2 = _richardson(per_grid[1], per_grid[2], spacings[1], spacings[2])
     drift = np.abs(extrap_2 - extrap_1)

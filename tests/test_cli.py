@@ -449,6 +449,56 @@ def test_exit_code_residual_gate(tmp_path, capsys, monkeypatch):
     assert "residual" in err["error"]["message"]
 
 
+class _FailingDriver:
+    """A LAPACK driver that runs, then reports ``info`` = 7."""
+
+    def __init__(self, driver):
+        self.driver, self.typecode = driver, driver.typecode
+        self.dtype = driver.dtype
+
+    def __call__(self, *args, **kwargs):
+        return (*self.driver(*args, **kwargs)[:-1], 7)
+
+
+@pytest.mark.parametrize("driver", ["dsbevx", "dgbsv"])
+def test_exit_code_lapack_failure(tmp_path, capsys, monkeypatch, driver):
+    # a failed ?sbevx seed solve or ?gbsv Rayleigh step is a typed
+    # non-convergence, not a LinAlgError traceback
+    from scipy.linalg import lapack
+    real = lapack.get_lapack_funcs
+
+    def lookup(names, arrays=(), *args, **kwargs):
+        return [_FailingDriver(f) if f.typecode + name == driver else f
+                for name, f in zip(names, real(names, arrays, *args,
+                                                **kwargs))]
+    monkeypatch.setattr(lapack, "get_lapack_funcs", lookup)
+    out = tmp_path / "out"
+    code = main(["spectrum", "--a", "-2i", "--b", "1", "--c", "1",
+                 "--grid-n", "401", "--out", str(out)])
+    assert code == 3
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert (err["kind"], err["type"], err["message"]) \
+        == ("numerical", "NotConverged", f"{driver} failed with info 7")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,error", [
+    # arg(1+i) = pi/4, so the end at pi/4 - pi/4 lies on the boundary at 0
+    pytest.param(["--a", "1+i", "--b", "1", "--c", "1"],
+                 ("OnStokesLine",
+                  "endpoint angle 0.0 lies on a wedge boundary"),
+                 id="stokes-line"),
+    # at x = -50, the first point of the PT-symmetry test, b + icx = 1
+    pytest.param(["--a", "1", "--b", "1+50i", "--c", "1", "--branch", "upper"],
+                 ("BranchUndefined", "root of (1+0j) is real; no previous "
+                  "sample to continue from"), id="branch-undefined"),
+])
+def test_exit_code_wedge_geometry(tmp_path, capsys, argv, error):
+    assert main(["wedges", *argv, "--out", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert (err["kind"], err["type"], err["message"]) == ("validation", *error)
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "ptcontour.cli", "wedges", "--a", "-2i",

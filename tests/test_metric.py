@@ -129,6 +129,47 @@ def test_amplitude_matrix_identity_for_every_contour():
         assert np.abs(mat - np.eye(4)).max() < 1e-8
 
 
+def pairwise_amplitudes(basis, eta):
+    """Reference: one :func:`amplitude` call per pair."""
+    k = len(basis)
+    out = np.zeros((k, k), dtype=complex)
+    for i in range(k):
+        for j in range(k):
+            out[i, j] = amplitude(basis[i], basis[j], eta)
+    return out
+
+
+def test_amplitude_matrix_is_one_product_over_matched_bases(monkeypatch):
+    # every eigenbasis and its pushforward onto each catalog contour takes
+    # the product F^H diag(w) F, summed as the pair-by-pair loop sums: the
+    # same bits
+    import ptcontour.metric as metric
+    from ptcontour.isomap import map_params, push_wavefn
+    cases = []
+    for src in STANDARD_FIVE:
+        basis = eigenbasis(src, 4, default_momentum_grid(src))
+        cases.append((basis, metric_of(src)))
+        cases += [([push_wavefn(map_params(src, dst), u) for u in basis],
+                   metric_of(dst)) for dst in STANDARD_FIVE]
+    want = [pairwise_amplitudes(basis, eta) for basis, eta in cases]
+    monkeypatch.setattr(metric, "amplitude",
+                        lambda *a: pytest.fail("pair-by-pair path taken"))
+    for (basis, eta), ref in zip(cases, want):
+        assert np.array_equal(amplitude_matrix(basis, eta), ref)
+
+
+def test_amplitude_matrix_of_mixed_grids_raises():
+    a = eigenbasis(LOWER_PT, 1, default_momentum_grid(LOWER_PT))[0]
+    b = eigenbasis(UPPER_PT, 1, default_momentum_grid(UPPER_PT))[0]
+    with pytest.raises(ValueError, match="one grid"):
+        amplitude_matrix([a, b], metric_of(LOWER_PT))
+
+
+def test_amplitude_matrix_divergent_pairing_raises(wide_adjacent_basis):
+    with pytest.raises(NonIntegrable):
+        amplitude_matrix(wide_adjacent_basis, metric_of(LOWER_PT))
+
+
 def test_amplitude_conjugate_symmetry():
     basis = eigenbasis(UPPER_PT, 3, default_momentum_grid(UPPER_PT))
     eta = metric_of(UPPER_PT)

@@ -14,8 +14,9 @@ from ptcontour.metric import default_momentum_grid, eigenbasis
 from ptcontour.opalg import (ANCHOR, ContourParams, OperatorExpr, build_h1,
                              hermitize)
 from ptcontour.rational import GaussianRational as Q
-from ptcontour.reference import REFERENCE_LEVELS
-from ptcontour.spectral import (_STENCILS, Grid, band_to_dense,
+from ptcontour.reference import (REFERENCE_DOMAIN, REFERENCE_GRID_SIZES,
+                                 REFERENCE_LEVELS)
+from ptcontour.spectral import (_STENCILS, Grid, _richardson, band_to_dense,
                                 eigensolve_general, eigensolve_hermitian,
                                 is_grid_artifact, matrixize,
                                 neighbor_correlation, oracle_spectrum)
@@ -335,6 +336,68 @@ def test_guard_catches_misplaced_seeds(monkeypatch):
     assert_banded_levels(ab, res, 5)
 
 
+def reference_seeds(band, k):
+    """The seeds through the public ``eig_banded``."""
+    import scipy.linalg as sla
+    u = band.shape[0] // 2
+    top = k if band.shape[1] > k else k - 1
+    vals = sla.eig_banded(band[:u + 1], eigvals_only=True, select="i",
+                          select_range=(0, top))
+    gaps = np.diff(vals)
+    return vals[:k], np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf])[:k]
+
+
+def reference_refine(sym, lam, tol):
+    """The Rayleigh-quotient iteration through the public ``solve_banded``."""
+    from scipy.linalg import solve_banded
+    from ptcontour.spectral import _RQI_STEPS
+    u, n = sym.shape[0] // 2, sym.shape[1]
+    v = np.linspace(1.0, 2.0, n)
+    for _ in range(_RQI_STEPS):
+        shift = lam + 1e-10 * max(1.0, abs(lam))
+        shifted = sym.copy()
+        shifted[u] -= shift
+        w = solve_banded((u, u), shifted, v, check_finite=False)
+        norm = np.linalg.norm(w)
+        x = w / norm
+        lam = shift + np.vdot(x, v).real / norm
+        residual = np.linalg.norm((shift - lam) * x + v / norm)
+        v = x
+        if residual < tol:
+            break
+    return lam, v
+
+
+@pytest.mark.parametrize("op,grid_of", [
+    *((hermitize(p).h, lambda n, p=p: default_momentum_grid(p, n=n))
+      for p in STANDARD_FIVE),
+    (ANCHOR, lambda n: Grid("position", -6.0, 6.0, n)),
+    # p^2 + p + x^2 has a complex Hermitian band: the ?hbevx seeds
+    (OperatorExpr({(0, 2): Q(1), (0, 1): Q(1), (2, 0): Q(1)}),
+     lambda n: Grid("position", -10.0, 10.0, n)),
+], ids=[*(p.label() for p in STANDARD_FIVE), "anchor", "p^2+p+x^2"])
+def test_direct_drivers_match_public_wrappers_bitwise(monkeypatch, op,
+                                                      grid_of):
+    # ?sbevx/?hbevx and ?gbsv called directly give the very bits of
+    # eig_banded and solve_banded, on both the coarse and the fine seeds
+    import ptcontour.spectral as spectral
+    methods = set()
+    for n in (201, 801):
+        ab = matrixize(op, grid_of(n))
+        for k in (5, 12):
+            with monkeypatch.context() as m:
+                m.setattr(spectral, "_seeds", reference_seeds)
+                m.setattr(spectral, "_rayleigh_refine", reference_refine)
+                ref = eigensolve_hermitian(ab, k)
+            res = eigensolve_hermitian(ab, k)
+            assert res.eigenvalues == ref.eigenvalues
+            assert np.array_equal(res.eigenvectors, ref.eigenvectors)
+            assert (res.method, res.residual_norms) \
+                == (ref.method, ref.residual_norms)
+            methods.add(res.method)
+    assert methods == {"eig_banded/4+rqi", "eig_banded+rqi"}
+
+
 def test_residual_gate_wired(monkeypatch):
     import ptcontour.spectral as spectral
     monkeypatch.setattr(spectral, "_RESIDUAL_BOUND", 1e-30)
@@ -415,8 +478,18 @@ def test_oracle_levels_strictly_increasing(oracle_levels):
 
 
 def test_oracle_parity_image_identical():
-    parity = oracle_spectrum(5, operator=ANCHOR_PARITY)
-    assert np.abs(parity - np.array(REFERENCE_LEVELS[:5])).max() < 1e-8
+    # x -> -x maps the anchor onto its parity image: on each reference grid
+    # the two have one spectrum, and the image extrapolates to the reference
+    levels, spacings = [], []
+    for n in REFERENCE_GRID_SIZES:
+        grid = Grid("position", *REFERENCE_DOMAIN, n)
+        parity, anchor = (eigensolve_hermitian(matrixize(op, grid), 5)
+                          .real_parts() for op in (ANCHOR_PARITY, ANCHOR))
+        assert np.abs(parity - anchor).max() < 1e-10 * anchor.max()
+        levels.append(parity)
+        spacings.append(grid.spacing)
+    extrap = _richardson(*levels[1:], *spacings[1:])
+    assert np.abs(extrap - np.array(REFERENCE_LEVELS[:5])).max() < 1e-8
 
 
 def test_oracle_level_bounds():
