@@ -32,6 +32,6 @@ print(f"  {count} ordered pairs verified")
 m = map_params(STANDARD_FIVE[1], STANDARD_FIVE[0])
 print(f"\nexample: {m.source.label()} -> {m.target.label()}: "
       f"beta = {m.beta}, gamma = {m.gamma}")
-print(f"  (4/3) / beta^3 = {metric_of(m.source).kappa3 / m.beta_fraction**3} "
+print(f"  (4/3) / beta^3 = {metric_of(m.source).kappa3 / m.beta**3} "
       f"and -2/beta - 2*gamma = "
-      f"{metric_of(m.source).kappa1 / m.beta_fraction - 2 * m.gamma_fraction}")
+      f"{metric_of(m.source).kappa1 / m.beta - 2 * m.gamma}")

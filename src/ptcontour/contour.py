@@ -36,8 +36,12 @@ class WedgeReport:
     pt_symmetric: bool
 
 
-def _pick_root(w: complex, branch: Branch, prev: complex | None) -> complex:
-    """Choose a square root of w under the branch policy."""
+def _pick_root(w: complex, branch: Branch,
+               prev: complex | None) -> complex | None:
+    """Choose a square root of w under the branch policy.
+
+    None when the root is real and there is no previous sample to continue.
+    """
     r = cmath.sqrt(w)
     if branch is Branch.PRINCIPAL:
         return r
@@ -48,8 +52,7 @@ def _pick_root(w: complex, branch: Branch, prev: complex | None) -> complex:
     if r == 0:
         return r
     if prev is None:
-        raise BranchUndefined(
-            f"root of {w} is real; no previous sample to continue from")
+        return None
     return r if abs(r - prev) <= abs(-r - prev) else -r
 
 
@@ -59,17 +62,23 @@ def sample(params: ContourParams, x_values) -> np.ndarray:
     ``principal`` takes the principal square root of (b + i c x); ``upper``
     and ``lower`` select, per point, the root with positive respectively
     negative imaginary part, falling back to continuity with the previous
-    sample where the root is real.
+    sample where the root is real.  Leading samples with a real root
+    continue backwards from the first sample that decides the branch.
     """
     a = complex(params.a)
     b = complex(params.b)
     c = complex(params.c)
-    out = []
-    prev: complex | None = None
-    for x in x_values:
-        prev = _pick_root(b + 1j * c * float(x), params.branch, prev)
-        out.append(a * prev)
-    return np.array(out, dtype=complex)
+    ws = [b + 1j * c * float(x) for x in x_values]
+    roots = []
+    for w in ws:
+        roots.append(_pick_root(w, params.branch, roots[-1] if roots else None))
+    lead = next((i for i, r in enumerate(roots) if r is not None), len(roots))
+    if ws and lead == len(ws):
+        raise BranchUndefined(
+            f"root of {ws[0]} is real and no sample decides the branch")
+    for i in reversed(range(lead)):
+        roots[i] = _pick_root(ws[i], params.branch, roots[i + 1])
+    return np.array([a * r for r in roots], dtype=complex)
 
 
 def _wrap_angle(theta: float) -> float:
@@ -98,15 +107,17 @@ def endpoint_angles(params: ContourParams) -> tuple[float, float]:
     """Asymptotic directions (theta_minus, theta_plus) of the contour ends.
 
     Closed form arg(a) +/- pi/4 adjusted for branch and the sign of c,
-    cross-checked against the sampled arg(z) at |x| = 1e8.
+    cross-checked against the sampled arg(z) at |x| = 1e8 max(1, |b/c|),
+    where the sample is asymptotic and b + i c x is never real.
     """
     if not params.c.is_real():
         raise ValueError("endpoint angles require real c")
     base = math.atan2(float(params.a.im), float(params.a.re))
+    far = 1e8 * max(1.0, abs(complex(params.b_over_c)))
     thetas = []
     for direction in (-1, +1):
         closed = _wrap_angle(base + _asymptotic_root_angle(params, direction))
-        num_angle = cmath.phase(sample(params, [direction * 1e8])[0])
+        num_angle = cmath.phase(sample(params, [direction * far])[0])
         dev = abs(_wrap_angle(num_angle - closed))
         if dev > 1e-6:
             raise ArithmeticError(

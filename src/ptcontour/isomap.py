@@ -4,9 +4,10 @@ A contour with parameters (a2, b2, c2) is reached from one with (a1, b1, c1)
 by scaling its real parameter by beta = a2^2 c2 / (a1^2 c1) and shifting it
 by an imaginary amount set by gamma = b2/c2 - a1^2 b1 / (a2^2 c2).  On
 momentum-space wavefunctions the scaling acts as a unitary dilation and the
-imaginary shift as multiplication by exp(gamma p); both act analytically on
-the tagged exponent, so the transported metric coefficients obey the exact
-rational identities
+imaginary shift as multiplication by exp(gamma p).  For every admissible
+contour a^2 c and b/c are real, so beta and gamma are exact real rationals;
+both parts act analytically on the tagged exponent, so the transported
+metric coefficients obey the exact rational identities
 
     kappa3' = kappa3 / beta^3        kappa1' = kappa1 / beta - 2 gamma
 
@@ -24,7 +25,6 @@ from .errors import PushforwardMismatch
 from .metric import (MetricSpec, TaggedWaveFn, amplitude_matrix,
                      default_momentum_grid, eigenbasis, metric_of)
 from .opalg import ContourParams
-from .rational import ONE, GaussianRational
 from .spectral import Grid
 
 
@@ -32,24 +32,14 @@ from .spectral import Grid
 class IsoMap:
     """Scale-and-shift map taking the source contour to the target."""
 
-    beta: GaussianRational
-    gamma: GaussianRational
+    beta: Fraction
+    gamma: Fraction
     source: ContourParams
     target: ContourParams
 
     def __post_init__(self):
-        if not self.beta.is_real() or self.beta.is_zero():
-            raise ValueError(f"beta = {self.beta} must be real and nonzero")
-        if not self.gamma.is_real():
-            raise ValueError(f"gamma = {self.gamma} must be real")
-
-    @property
-    def beta_fraction(self) -> Fraction:
-        return self.beta.re
-
-    @property
-    def gamma_fraction(self) -> Fraction:
-        return self.gamma.re
+        if self.beta == 0:
+            raise ValueError("beta must be nonzero")
 
     def compose(self, second: "IsoMap") -> "IsoMap":
         """The map 'self then second'; targets must chain."""
@@ -69,9 +59,8 @@ def map_params(src: ContourParams, dst: ContourParams) -> IsoMap:
     """
     lam_src, rho_src = src.invariants()
     lam_dst, rho_dst = dst.invariants()
-    # ONE * promotes the exact reals to the GaussianRational IsoMap fields
-    return IsoMap(beta=ONE * lam_dst / lam_src,
-                  gamma=ONE * (rho_dst - rho_src * lam_src / lam_dst),
+    return IsoMap(beta=lam_dst / lam_src,
+                  gamma=rho_dst - rho_src * lam_src / lam_dst,
                   source=src, target=dst)
 
 
@@ -84,10 +73,9 @@ def push_metric(m: IsoMap, eta1: MetricSpec) -> MetricSpec:
     """
     if eta1 != metric_of(m.source):
         raise ValueError("eta1 is not the metric of the map's source contour")
-    beta, gamma = m.beta_fraction, m.gamma_fraction
     pushed = MetricSpec(
-        kappa3=eta1.kappa3 / beta ** 3,
-        kappa1=eta1.kappa1 / beta - 2 * gamma,
+        kappa3=eta1.kappa3 / m.beta ** 3,
+        kappa1=eta1.kappa1 / m.beta - 2 * m.gamma,
     )
     direct = metric_of(m.target)
     if pushed != direct:
@@ -107,7 +95,7 @@ def push_wavefn(m: IsoMap, u: TaggedWaveFn) -> TaggedWaveFn:
     """
     if u.grid.variable != "momentum" or not u.grid.symmetric:
         raise ValueError("push_wavefn requires a symmetric momentum grid")
-    beta, gamma = m.beta_fraction, m.gamma_fraction
+    beta, gamma = m.beta, m.gamma
     scale = abs(float(beta))
     natural = Grid("momentum", u.grid.lo * scale, u.grid.hi * scale, u.grid.n)
     factor = u.factor / math.sqrt(scale)
@@ -155,7 +143,7 @@ def verify_isometry(src: ContourParams, dst: ContourParams, k: int = 3,
     max_dev = float(np.abs(a_src - a_dst).max())
     ident = float(np.abs(a_src - np.eye(k)).max())
     return IsometryReport(
-        src=src, dst=dst, beta=m.beta_fraction, gamma=m.gamma_fraction, k=k,
+        src=src, dst=dst, beta=m.beta, gamma=m.gamma, k=k,
         amplitudes_src=a_src, amplitudes_dst=a_dst,
         max_deviation=max_dev, identity_deviation=ident,
     )

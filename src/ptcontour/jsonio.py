@@ -1,8 +1,8 @@
 """Deterministic JSON and CSV emission.
 
-JSON output is byte-reproducible: keys sorted, floats rendered with 17
-significant digits (full double precision), no timestamps or environment
-data.  CSV follows RFC 4180 (CRLF line endings, minimal quoting).
+JSON output is byte-reproducible: keys sorted, floats in the shortest repr
+that reads back exactly, no timestamps or environment data.  CSV follows
+RFC 4180 (CRLF line endings, minimal quoting), floats at 17 digits.
 """
 from __future__ import annotations
 
@@ -11,25 +11,8 @@ import json
 from pathlib import Path
 
 
-class _Float17(float):
-    def __repr__(self):
-        return format(float(self), ".17g")
-
-
-def _convert(obj):
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, float):
-        return _Float17(obj)
-    if isinstance(obj, dict):
-        return {str(k): _convert(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_convert(v) for v in obj]
-    raise TypeError(f"{type(obj).__name__} is not a JSON payload type")
-
-
 def canonical_dumps(obj) -> str:
-    return json.dumps(_convert(obj), sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def write_json(path: str | Path, obj) -> Path:

@@ -5,9 +5,10 @@ momentum grid together with an exact cubic polynomial exponent that is only
 ever combined analytically.  Transition amplitudes add the bra, ket and
 metric exponents as exact rationals first; for every matched contour/metric
 pair the sum cancels to zero identically, so the amplitudes are finite by
-structure, and a basis sharing one such exponent gets its whole amplitude
-matrix from one array product F^H diag(w) F.  Only a combined exponent
-that is genuinely nonzero is ever exponentiated, in log-magnitude form.
+structure.  Every amplitude is one weighted product of the factors,
+F^H diag(w) F, with w the Simpson weights times exp of the combined
+exponent; only an exponent that is genuinely nonzero is exponentiated,
+after the overflow sentinel has bounded it.
 """
 from __future__ import annotations
 
@@ -137,6 +138,21 @@ def _combined_exponent(u: TaggedWaveFn, v: TaggedWaveFn,
                  for cu, cv, ce in zip(u.exponent, v.exponent, ec))
 
 
+def _weighted(bra: np.ndarray, ket: np.ndarray, grid: Grid,
+              combined: tuple[Fraction, ...]) -> np.ndarray:
+    """<bra_i | exp(combined) | ket_j> for factor rows bra, ket on grid."""
+    w = simpson_weights(grid.n, grid.spacing)
+    if any(combined):
+        pts = grid.points()
+        e = _poly_eval(combined, pts)
+        peak = int(np.argmax(e))
+        if e[peak] > _EXP_OVERFLOW:
+            raise NonIntegrable(f"combined exponent peaks at {e[peak]:.3g} "
+                                f"at p = {pts[peak]:.3g}")
+        w = w * np.exp(e)
+    return (w * (np.conj(bra)[:, None] * ket)).sum(-1)
+
+
 def amplitude(u: TaggedWaveFn, v: TaggedWaveFn, eta: MetricSpec) -> complex:
     """Metric-weighted transition amplitude <u | eta | v>.
 
@@ -148,37 +164,19 @@ def amplitude(u: TaggedWaveFn, v: TaggedWaveFn, eta: MetricSpec) -> complex:
     """
     if u.grid != v.grid:
         raise ValueError("amplitude requires both functions on one grid")
-    pts = u.grid.points()
-    w = simpson_weights(u.grid.n, u.grid.spacing)
-    cross = np.conj(u.factor) * v.factor
-    combined = _combined_exponent(u, v, eta)
-    if all(c == 0 for c in combined):
-        return complex(np.sum(w * cross))
-
-    e = _poly_eval(combined, pts)
-    peak = int(np.argmax(e))
-    if e[peak] > _EXP_OVERFLOW:
-        raise NonIntegrable(
-            f"combined exponent peaks at {e[peak]:.3g} at p = {pts[peak]:.3g}")
-    mag = np.abs(cross)
-    vals = np.zeros_like(cross)
-    nz = mag > 0
-    vals[nz] = (cross[nz] / mag[nz]) * np.exp(np.log(mag[nz]) + e[nz])
-    return complex(np.sum(w * vals))
+    return complex(_weighted(u.factor[None], v.factor[None], u.grid,
+                             _combined_exponent(u, v, eta))[0, 0])
 
 
 def amplitude_matrix(basis: list[TaggedWaveFn], eta: MetricSpec) -> np.ndarray:
-    """:func:`amplitude` of every pair, in one array product F^H diag(w) F
-    of the factors F if the basis shares one grid and one exponent eta
-    cancels; summed as :func:`amplitude` sums, so the bits are the same."""
-    u = basis[0] if basis else None
-    if u and not any(_combined_exponent(u, u, eta)) and all(
-            (v.grid, v.exponent) == (u.grid, u.exponent) for v in basis):
-        f = np.stack([v.factor for v in basis])
-        w = simpson_weights(u.grid.n, u.grid.spacing)
-        return (w * (f.conj()[:, None] * f)).sum(axis=-1).astype(complex)
-    return np.array([[amplitude(a, b, eta) for b in basis] for a in basis],
-                    dtype=complex).reshape(len(basis), len(basis))
+    """:func:`amplitude` of every pair of a basis on one grid with one
+    exponent, in one weighted product of the stacked factors."""
+    if len({(v.grid, v.exponent) for v in basis}) != 1:
+        raise ValueError("amplitude_matrix requires a basis on one grid "
+                         "with one exponent")
+    u = basis[0]
+    f = np.stack([v.factor for v in basis])
+    return _weighted(f, f, u.grid, _combined_exponent(u, u, eta)).astype(complex)
 
 
 # ---------------------------------------------------------------------------

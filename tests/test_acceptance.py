@@ -70,7 +70,7 @@ def test_criterion_2_metric_pushforward_identities():
             if src is dst:
                 continue
             m = pt.map_params(src, dst)
-            beta, gamma = m.beta_fraction, m.gamma_fraction
+            beta, gamma = m.beta, m.gamma
             src_spec = pt.metric_of(src)
             dst_spec = pt.metric_of(dst)
             assert src_spec.kappa3 / beta ** 3 == dst_spec.kappa3

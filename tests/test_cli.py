@@ -488,15 +488,41 @@ def test_exit_code_lapack_failure(tmp_path, capsys, monkeypatch, driver):
                  ("OnStokesLine",
                   "endpoint angle 0.0 lies on a wedge boundary"),
                  id="stokes-line"),
-    # at x = -50, the first point of the PT-symmetry test, b + icx = 1
-    pytest.param(["--a", "1", "--b", "1+50i", "--c", "1", "--branch", "upper"],
-                 ("BranchUndefined", "root of (1+0j) is real; no previous "
-                  "sample to continue from"), id="branch-undefined"),
+    # |b/c| = 1e17: on x in [-50, 50] the root is real to 1e-14 at every
+    # sample of the PT-symmetry test, so none decides the upper branch
+    pytest.param(["--a", "1", "--b", "100000000000000000", "--c", "1",
+                  "--branch", "upper"],
+                 ("BranchUndefined", "root of (1e+17-50j) is real and no "
+                  "sample decides the branch"), id="branch-undefined"),
 ])
 def test_exit_code_wedge_geometry(tmp_path, capsys, argv, error):
     assert main(["wedges", *argv, "--out", str(tmp_path)]) == 2
     err = json.loads(capsys.readouterr().out)["error"]
     assert (err["kind"], err["type"], err["message"]) == ("validation", *error)
+
+
+def wedges_payload(tmp_path, capsys, b, branch):
+    assert main(["wedges", "--a", "1", "--b", b, "--c", "1", "--branch",
+                 branch, "--out", str(tmp_path / b)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    del payload["params"]
+    return payload
+
+
+@pytest.mark.parametrize("branch", ["principal", "upper"])
+def test_wedges_far_offset(tmp_path, capsys, branch):
+    # |b/c| = 1e8: the endpoint cross-check samples at |x| = 1e8 |b/c|, where
+    # the root is asymptotic and b + icx is never real
+    payload = wedges_payload(tmp_path, capsys, "1+100000000i", branch)
+    assert payload == wedges_payload(tmp_path, capsys, "1+1000i", branch)
+
+
+@pytest.mark.parametrize("b", ["1+50i", "1+6i"])
+def test_wedges_real_root_at_first_sample(tmp_path, capsys, b):
+    # b + icx = 1 at the first sample of the PT-symmetry grid (x = -50) or of
+    # the polyline (x = -6); the samples after it decide the branch
+    assert wedges_payload(tmp_path, capsys, b, "upper") \
+        == wedges_payload(tmp_path, capsys, "1+49.9i", "upper")
 
 
 def test_console_entry_point(tmp_path):

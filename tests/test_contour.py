@@ -60,8 +60,19 @@ def test_sample_branch_continuity_through_real_axis():
 
 
 def test_sample_first_point_ambiguous_raises():
-    with pytest.raises(BranchUndefined):
+    # one sample, with a real root: no sample decides the branch
+    with pytest.raises(BranchUndefined, match=r"^root of \(1\+0j\) is real "
+                       r"and no sample decides the branch$"):
         sample(with_branch(ADJACENT, Branch.UPPER), [0.0])
+
+
+def test_sample_leading_real_root_continues_backwards():
+    # b + icx = 1 at x = -50 only; that root continues the samples after it
+    params = ContourParams(Q(1), Q(1, 50), Q(1), Branch.UPPER)
+    xs = np.linspace(-50.0, 50.0, 1001)
+    zs = sample(params, xs)
+    assert zs[0] == 1.0
+    assert np.array_equal(zs[1:], sample(params, xs[1:]))
 
 
 # --- endpoint angles ------------------------------------------------------------

@@ -46,6 +46,21 @@ def test_map_composition():
         assert chained.gamma == direct.gamma
 
 
+def test_map_params_are_exact_reals():
+    for src in STANDARD_FIVE:
+        for dst in STANDARD_FIVE:
+            m = map_params(src, dst)
+            assert type(m.beta) is Fraction and type(m.gamma) is Fraction
+            twice = m.compose(map_params(dst, src))
+            assert (twice.beta, twice.gamma) == (1, 0)
+
+
+def test_map_rejects_zero_beta():
+    with pytest.raises(ValueError, match="beta must be nonzero"):
+        IsoMap(beta=Fraction(0), gamma=Fraction(0), source=UPPER_PT,
+               target=LOWER_PT)
+
+
 def test_compose_requires_chaining():
     with pytest.raises(ValueError):
         map_params(UPPER_PT, LOWER_PT).compose(map_params(ADJACENT, SQRT_IX))
@@ -81,7 +96,8 @@ def test_push_metric_rejects_wrong_source_metric():
 
 
 def test_push_metric_detects_corrupted_map():
-    bad = IsoMap(beta=Q(2), gamma=Q(0), source=UPPER_PT, target=LOWER_PT)
+    bad = IsoMap(beta=Fraction(2), gamma=Fraction(0), source=UPPER_PT,
+                 target=LOWER_PT)
     with pytest.raises(PushforwardMismatch):
         push_metric(bad, metric_of(UPPER_PT))
 

@@ -165,9 +165,49 @@ def test_amplitude_matrix_of_mixed_grids_raises():
         amplitude_matrix([a, b], metric_of(LOWER_PT))
 
 
+def test_amplitude_matrix_of_two_exponents_raises():
+    u = eigenbasis(LOWER_PT, 1, default_momentum_grid(LOWER_PT))[0]
+    flat = TaggedWaveFn(grid=u.grid, factor=u.factor,
+                        exponent=(Fraction(0),) * 4)
+    with pytest.raises(ValueError, match="one exponent"):
+        amplitude_matrix([u, flat], metric_of(LOWER_PT))
+
+
 def test_amplitude_matrix_divergent_pairing_raises(wide_adjacent_basis):
     with pytest.raises(NonIntegrable):
         amplitude_matrix(wide_adjacent_basis, metric_of(LOWER_PT))
+
+
+def log_magnitude_amplitudes(basis, eta):
+    """Reference: each pair's cross product re-weighted by its combined
+    exponent in log-magnitude form, with zero-magnitude samples masked."""
+    from ptcontour.metric import _combined_exponent, _poly_eval
+    out = np.zeros((len(basis), len(basis)), dtype=complex)
+    for i, u in enumerate(basis):
+        for j, v in enumerate(basis):
+            pts = u.grid.points()
+            e = _poly_eval(_combined_exponent(u, v, eta), pts)
+            cross = np.conj(u.factor) * v.factor
+            mag = np.abs(cross)
+            vals = np.zeros_like(cross)
+            nz = mag > 0
+            vals[nz] = (cross[nz] / mag[nz]) * np.exp(np.log(mag[nz]) + e[nz])
+            out[i, j] = np.sum(simpson_weights(u.grid.n, u.grid.spacing) * vals)
+    return out
+
+
+def test_noncancelling_amplitudes_match_log_magnitude_form(wide_adjacent_basis):
+    # the combined exponent is 2p against the sqrt_ix metric, and -2 f p^3
+    # against a catalog basis's metric stripped of its cubic term
+    cases = [(wide_adjacent_basis, metric_of(SQRT_IX))]
+    for params in STANDARD_FIVE:
+        eta = MetricSpec(kappa3=Fraction(0), kappa1=metric_of(params).kappa1)
+        cases.append((eigenbasis(params, 4, default_momentum_grid(params)), eta))
+    for basis, eta in cases:
+        ref = log_magnitude_amplitudes(basis, eta)
+        mat = amplitude_matrix(basis, eta)
+        assert np.abs(mat - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert mat[0, 1] == amplitude(basis[0], basis[1], eta)
 
 
 def test_amplitude_conjugate_symmetry():
