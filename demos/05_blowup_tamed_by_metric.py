@@ -17,22 +17,21 @@ import math
 
 import numpy as np
 
-from ptcontour import (ADJACENT, Grid, amplitude_matrix, eigenbasis,
-                       eval_wkb, metric_of)
+from ptcontour import (ADJACENT, Grid, amplitude, eigenbasis, eval_wkb,
+                       metric_of)
 
 grid = Grid("momentum", -30.0, 30.0, 1601)
 basis = eigenbasis(ADJACENT, 4, grid)
-u0 = basis[0]
 
 print(f"contour {ADJACENT.label()}: psi~(p) = exp(E(p)) * factor(p) with the "
       f"exact exponent E(p) = +(2/3)p^3 + p")
 pts = grid.points()
-factor = np.abs(u0.factor)
+factor = np.abs(basis.factor[0])
 resolved = pts[factor > 1e-12 * factor.max()]
 print(f"grid: [{grid.lo}, {grid.hi}] with {grid.n} points; the factor is "
       f"resolved for {resolved.min():.1f} <= p <= {resolved.max():.1f}\n")
 
-exponent10 = u0.exponent_values() / math.log(10.0)
+exponent10 = basis.exponent_values() / math.log(10.0)
 print(f"  {'p':>5s} {'log10|factor|':>14s} {'E(p)/ln 10':>11s} "
       f"{'log10|psi~|':>12s}")
 for p_show in (0.0, 1.0, 2.0, 3.0):
@@ -48,7 +47,7 @@ print(f"the leading-order profile gives log10 |psi~({grid.hi:.0f})| = "
       f"{top:.1f}")
 print(f"raw magnitude at the grid top exceeds 1e10: {top > 10}")
 
-mat = amplitude_matrix(basis, metric_of(ADJACENT))
+mat = amplitude(basis, basis, metric_of(ADJACENT))
 print(f"\nmetric-weighted amplitude matrix (4x4): max |entry| = "
       f"{np.abs(mat).max():.12f}")
 print(f"deviation from identity: {np.abs(mat - np.eye(4)).max():.3e}")

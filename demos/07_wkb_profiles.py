@@ -12,8 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ptcontour import TAG_PARAMS, TAGS, compare_to_numeric, eval_wkb, \
-    metric_weighted_wkb
+from ptcontour import TAGS, compare_to_numeric, eval_wkb, metric_weighted_wkb
 from ptcontour.svgfig import line_chart
 
 out = Path(__file__).parent / "output"
@@ -38,7 +37,7 @@ for tag in TAGS:
 
 print("\nprofile decay vs computed eigenfunction factor (slope fits):")
 for tag in TAGS:
-    for side in compare_to_numeric(tag, TAG_PARAMS[tag]):
+    for side in compare_to_numeric(tag):
         print(f"  {tag:9s} side {side.side:+d}: numeric "
               f"{side.numeric_factor_slope:9.3f}, profile "
               f"{side.wkb_factor_slope:9.3f}, deviation "

@@ -15,7 +15,7 @@ from .contour import (WedgeReport, endpoint_angles, is_pt_symmetric,
                       polyline, sample, wedge_report)
 from .isomap import (IsoMap, IsometryReport, map_params, push_metric,
                      push_wavefn, verify_isometry)
-from .metric import (MetricSpec, TaggedWaveFn, amplitude, amplitude_matrix,
+from .metric import (MetricSpec, TaggedWaveFn, amplitude,
                      default_momentum_grid, eigenbasis, exact_hermite_norm,
                      hermite_demo, metric_of, simpson_weights)
 from .opalg import (ANCHOR, Branch, ContourParams, OperatorExpr, adjoint,
@@ -38,9 +38,9 @@ __all__ = [
     "MetricSpec", "OperatorExpr", "REFERENCE_LEVELS", "SQRT_IX",
     "STANDARD_FIVE", "SpectrumResult", "TAGS", "TAG_PARAMS",
     "TaggedWaveFn", "UPPER_PT", "WedgeReport", "adjoint", "amplitude",
-    "amplitude_matrix", "bch_conjugate", "build_h1", "canonical_swap",
-    "commutator", "compare_to_numeric", "default_momentum_grid",
-    "dyson_coefficients", "eigenbasis", "eigensolve_general",
+    "bch_conjugate", "build_h1", "canonical_swap", "commutator",
+    "compare_to_numeric", "default_momentum_grid", "dyson_coefficients",
+    "eigenbasis", "eigensolve_general",
     "eigensolve_hermitian", "endpoint_angles", "eval_wkb",
     "exact_hermite_norm", "hermite_demo", "hermitian_form", "hermitize",
     "in_domain", "is_hermitian", "is_pt_symmetric", "map_params",

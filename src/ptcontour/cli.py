@@ -235,8 +235,8 @@ def _cmd_wedges(args):
                **dataclasses.asdict(wedge_report(params)),
                "params": {**_params_json(params),
                           "branch": params.branch.value}}
-    out = _outdir(args)
     xs, re_z, im_z = polyline(params)
+    out = _outdir(args)
     if "json" in args.formats:
         write_json(out / "wedges.json", payload)
     if "csv" in args.formats:

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PushforwardMismatch
-from .metric import (MetricSpec, TaggedWaveFn, amplitude_matrix,
+from .metric import (MetricSpec, TaggedWaveFn, amplitude,
                      default_momentum_grid, eigenbasis, metric_of)
 from .opalg import ContourParams
 from .spectral import Grid
@@ -86,12 +86,13 @@ def push_metric(m: IsoMap, eta1: MetricSpec) -> MetricSpec:
 
 
 def push_wavefn(m: IsoMap, u: TaggedWaveFn) -> TaggedWaveFn:
-    """Transport a tagged wavefunction along the map.
+    """Transport a tagged basis along the map, all rows at once.
 
-    The dilation part rescales the grid by beta (with a parity fold for
-    beta < 0) and divides exponent coefficients by beta^k; the shift part
-    adds gamma * p.  The factor keeps its sample values up to the unitary
-    normalization |beta|^(-1/2); nothing is interpolated.
+    The dilation part rescales the grid by beta (with a parity fold, which
+    reverses every row, for beta < 0) and divides exponent coefficients by
+    beta^k; the shift part adds gamma * p.  The factor keeps its sample
+    values up to the unitary normalization |beta|^(-1/2); nothing is
+    interpolated.
     """
     if u.grid.variable != "momentum" or not u.grid.symmetric:
         raise ValueError("push_wavefn requires a symmetric momentum grid")
@@ -100,11 +101,10 @@ def push_wavefn(m: IsoMap, u: TaggedWaveFn) -> TaggedWaveFn:
     natural = Grid("momentum", u.grid.lo * scale, u.grid.hi * scale, u.grid.n)
     factor = u.factor / math.sqrt(scale)
     if beta < 0:
-        factor = factor[::-1].copy()
+        factor = factor[:, ::-1].copy()
     exponent = tuple(c / beta ** k for k, c in enumerate(u.exponent))
     exponent = (exponent[0], exponent[1] + gamma, exponent[2], exponent[3])
-    return TaggedWaveFn(grid=natural, factor=factor, exponent=exponent,
-                        label=f"{u.label} pushed to {m.target.label()}")
+    return TaggedWaveFn(grid=natural, factor=factor, exponent=exponent)
 
 
 @dataclass(frozen=True)
@@ -130,16 +130,17 @@ def verify_isometry(src: ContourParams, dst: ContourParams, k: int = 3,
                     n: int = 1201) -> IsometryReport:
     """Check amplitude preservation between two contours' Hilbert spaces.
 
-    Computes the k x k metric-weighted amplitude matrix on the source, maps
-    the source eigenfunctions onto the target and recomputes the matrix with
-    the target metric.  Because the map rescales the source grid onto the
-    target's natural one, no interpolation enters the comparison.
+    Computes the k x k metric-weighted amplitude matrix of the source
+    eigenbasis, maps the whole basis onto the target and recomputes the
+    matrix with the target metric.  Because the map rescales the source
+    grid onto the target's natural one, no interpolation enters the
+    comparison.
     """
     m = map_params(src, dst)
     basis = eigenbasis(src, k, default_momentum_grid(src, n=n))
-    a_src = amplitude_matrix(basis, metric_of(src))
-    pushed = [push_wavefn(m, u) for u in basis]
-    a_dst = amplitude_matrix(pushed, metric_of(dst))
+    a_src = amplitude(basis, basis, metric_of(src))
+    pushed = push_wavefn(m, basis)
+    a_dst = amplitude(pushed, pushed, metric_of(dst))
     max_dev = float(np.abs(a_src - a_dst).max())
     ident = float(np.abs(a_src - np.eye(k)).max())
     return IsometryReport(

@@ -1,12 +1,13 @@
 """Metric operators eta = exp(kappa3 p^3 + kappa1 p) and weighted amplitudes.
 
-Wavefunctions are stored factored: a smooth, numerically tame factor on a
-momentum grid together with an exact cubic polynomial exponent that is only
-ever combined analytically.  Transition amplitudes add the bra, ket and
-metric exponents as exact rationals first; for every matched contour/metric
-pair the sum cancels to zero identically, so the amplitudes are finite by
-structure.  Every amplitude is one weighted product of the factors,
-F^H diag(w) F, with w the Simpson weights times exp of the combined
+A basis of wavefunctions is stored factored: one row per function of a
+smooth, numerically tame factor on a momentum grid, together with one exact
+cubic polynomial exponent that all rows share and that is only ever combined
+analytically.  Transition amplitudes add the bra, ket and metric exponents
+as exact rationals first; for every matched contour/metric pair the sum
+cancels to zero identically, so the amplitudes are finite by structure.
+The amplitude matrix of two bases is one weighted product of their factors,
+F^H diag(w) G, with w the Simpson weights times exp of the combined
 exponent; only an exponent that is genuinely nonzero is exponentiated,
 after the overflow sentinel has bounded it.
 """
@@ -68,18 +69,24 @@ def _poly_eval(coeffs: tuple[Fraction, ...], p: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TaggedWaveFn:
-    """Momentum-space wavefunction exp(exponent(p)) * factor(p).
+    """Momentum-space basis exp(exponent(p)) * factor[i](p), i < k.
 
-    ``factor`` holds grid samples of the smooth part; ``exponent`` is an
-    exact real polynomial of degree <= 3, applied implicitly.  The full
-    product is never materialized when the exponent is unbounded above on
-    the grid, which is exactly what keeps blowing-up wavefunctions usable.
+    ``factor`` has shape ``(k, grid.n)``: row i holds the grid samples of
+    the smooth part of function i.  All rows share the grid and
+    ``exponent``, an exact real polynomial of degree <= 3 applied
+    implicitly.  The full product is never materialized when the exponent
+    is unbounded above on the grid, which is exactly what keeps blowing-up
+    wavefunctions usable.
     """
 
     grid: Grid
     factor: np.ndarray
     exponent: tuple[Fraction, Fraction, Fraction, Fraction]
-    label: str = ""
+
+    def __post_init__(self):
+        if np.ndim(self.factor) != 2 or np.shape(self.factor)[1] != self.grid.n:
+            raise ValueError(f"factor must have shape (k, {self.grid.n}), "
+                             f"got {np.shape(self.factor)}")
 
     def exponent_values(self) -> np.ndarray:
         return _poly_eval(self.exponent, self.grid.points())
@@ -91,14 +98,16 @@ class TaggedWaveFn:
             return self.exponent_values() + np.log(mag)
 
 
-def eigenbasis(params: ContourParams, k: int, grid: Grid) -> list[TaggedWaveFn]:
-    """Tagged eigenfunctions of the transformed Hamiltonian on a contour.
+def eigenbasis(params: ContourParams, k: int, grid: Grid) -> TaggedWaveFn:
+    """The lowest k eigenfunctions of the transformed Hamiltonian on a
+    contour, as one basis.
 
     Diagonalizes the Hermitian equivalent in momentum representation (real
     orthonormal eigenvectors), then undoes the similarity transformation
-    analytically: the returned functions carry exponent -(f p^3 + g p) with
-    the smooth eigenvector as factor.  Factors are normalized against the
-    Simpson weights of the grid and phased so the largest sample is positive.
+    analytically: the basis carries exponent -(f p^3 + g p) with the smooth
+    eigenvectors as its C-contiguous factor rows, level i in row i.  Each
+    row is normalized against the Simpson weights of the grid and phased so
+    its largest sample is positive.
     """
     if grid.variable != "momentum":
         raise ValueError("eigenbasis requires a momentum grid")
@@ -107,17 +116,11 @@ def eigenbasis(params: ContourParams, k: int, grid: Grid) -> list[TaggedWaveFn]:
     res = hermitize(params)
     vecs = eigensolve_hermitian(matrixize(res.h, grid), k).eigenvectors
     w = simpson_weights(grid.n, grid.spacing)
-    exponent = (Fraction(0), -res.g, Fraction(0), -res.f)
-    out = []
-    for i in range(k):
-        v = vecs[:, i].astype(float)
-        v = v / math.sqrt(float(np.sum(w * v * v)))
-        if v[int(np.argmax(np.abs(v)))] < 0:
-            v = -v
-        out.append(TaggedWaveFn(
-            grid=grid, factor=v, exponent=exponent,
-            label=f"level {i} of {params.label()}"))
-    return out
+    f = vecs.T.astype(float, order="C")
+    f /= np.sqrt((w * f * f).sum(-1))[:, None]
+    f[f[np.arange(k), np.abs(f).argmax(-1)] < 0] *= -1.0
+    return TaggedWaveFn(grid=grid, factor=f,
+                        exponent=(Fraction(0), -res.g, Fraction(0), -res.f))
 
 
 def default_momentum_grid(params: ContourParams, n: int = 1201) -> Grid:
@@ -138,9 +141,20 @@ def _combined_exponent(u: TaggedWaveFn, v: TaggedWaveFn,
                  for cu, cv, ce in zip(u.exponent, v.exponent, ec))
 
 
-def _weighted(bra: np.ndarray, ket: np.ndarray, grid: Grid,
-              combined: tuple[Fraction, ...]) -> np.ndarray:
-    """<bra_i | exp(combined) | ket_j> for factor rows bra, ket on grid."""
+def amplitude(u: TaggedWaveFn, v: TaggedWaveFn, eta: MetricSpec) -> np.ndarray:
+    """Metric-weighted transition amplitudes <u_i | eta | v_j>, as a complex
+    (k, m) matrix for bases of k and m rows on one grid.
+
+    The bra is complex-conjugated.  Exponents combine exactly; when the
+    combined exponent vanishes identically the amplitudes reduce to a plain
+    Simpson quadrature of the factors.  A combined exponent that exceeds
+    the overflow sentinel anywhere on the grid marks the amplitudes as
+    genuinely divergent and raises :class:`NonIntegrable`.
+    """
+    if u.grid != v.grid:
+        raise ValueError("amplitude requires both bases on one grid")
+    grid = u.grid
+    combined = _combined_exponent(u, v, eta)
     w = simpson_weights(grid.n, grid.spacing)
     if any(combined):
         pts = grid.points()
@@ -150,33 +164,7 @@ def _weighted(bra: np.ndarray, ket: np.ndarray, grid: Grid,
             raise NonIntegrable(f"combined exponent peaks at {e[peak]:.3g} "
                                 f"at p = {pts[peak]:.3g}")
         w = w * np.exp(e)
-    return (w * (np.conj(bra)[:, None] * ket)).sum(-1)
-
-
-def amplitude(u: TaggedWaveFn, v: TaggedWaveFn, eta: MetricSpec) -> complex:
-    """Metric-weighted transition amplitude <u | eta | v>.
-
-    The bra is complex-conjugated.  Exponents combine exactly; when the
-    combined exponent vanishes identically the amplitude reduces to a plain
-    Simpson quadrature of the factors.  A combined exponent that exceeds
-    the overflow sentinel anywhere on the grid marks the amplitude as
-    genuinely divergent and raises :class:`NonIntegrable`.
-    """
-    if u.grid != v.grid:
-        raise ValueError("amplitude requires both functions on one grid")
-    return complex(_weighted(u.factor[None], v.factor[None], u.grid,
-                             _combined_exponent(u, v, eta))[0, 0])
-
-
-def amplitude_matrix(basis: list[TaggedWaveFn], eta: MetricSpec) -> np.ndarray:
-    """:func:`amplitude` of every pair of a basis on one grid with one
-    exponent, in one weighted product of the stacked factors."""
-    if len({(v.grid, v.exponent) for v in basis}) != 1:
-        raise ValueError("amplitude_matrix requires a basis on one grid "
-                         "with one exponent")
-    u = basis[0]
-    f = np.stack([v.factor for v in basis])
-    return _weighted(f, f, u.grid, _combined_exponent(u, u, eta)).astype(complex)
+    return (w * (np.conj(u.factor)[:, None] * v.factor)).sum(-1).astype(complex)
 
 
 # ---------------------------------------------------------------------------

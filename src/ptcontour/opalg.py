@@ -86,9 +86,6 @@ class OperatorExpr:
     def terms(self) -> dict[tuple[int, int], GaussianRational]:
         return dict(self._terms)
 
-    def coeff(self, m: int, n: int) -> GaussianRational:
-        return self._terms.get((m, n), GaussianRational(0))
-
     def is_zero(self) -> bool:
         return not self._terms
 

@@ -25,7 +25,6 @@ import numpy as np
 from .catalog import ADJACENT, SQRT_IX, UPPER_PT
 from .errors import PtContourError
 from .metric import default_momentum_grid, eigenbasis, metric_of
-from .opalg import ContourParams
 
 TAGS = ("upper_pt", "adjacent", "sqrt_ix")
 
@@ -142,8 +141,9 @@ def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def compare_to_numeric(tag: str, params: ContourParams) -> list[TailComparison]:
-    """Compare profile decay against the computed ground-state factor.
+def compare_to_numeric(tag: str) -> list[TailComparison]:
+    """Compare profile decay against the computed ground-state factor on
+    the tag's contour ``TAG_PARAMS[tag]``.
 
     The factored representation splits each wavefunction into the exact
     polynomial exponent (which reproduces the profile's printed cubic and
@@ -155,14 +155,13 @@ def compare_to_numeric(tag: str, params: ContourParams) -> list[TailComparison]:
     inside that.  Leading-order profiles justify only a coarse (15%) band.
     """
     _check(tag)
-    canon = TAG_PARAMS[tag]
-    if (params.a, params.b, params.c) != (canon.a, canon.b, canon.c):
-        raise ValueError(f"params {params.label()} do not correspond to {tag!r}")
-    u = eigenbasis(params, 1, default_momentum_grid(params))[0]
+    params = TAG_PARAMS[tag]
+    u = eigenbasis(params, 1, default_momentum_grid(params))
     pts = u.grid.points()
+    ground = u.factor[0]
     log_factor = np.full(len(pts), -np.inf)
-    nz = np.abs(u.factor) > 0
-    log_factor[nz] = np.log(np.abs(u.factor[nz]))
+    nz = np.abs(ground) > 0
+    log_factor[nz] = np.log(np.abs(ground[nz]))
     floor = log_factor.max() + np.log(1e-12)
     exponent = u.exponent_values()
 

@@ -112,10 +112,11 @@ def test_criterion_4_amplitude_invariance():
 
 def test_criterion_5_blowup_yet_finite(wide_adjacent_basis):
     # resolved witnesses only: the grid eigenvector is noise beyond |p| ~ 3.4
-    top = wide_adjacent_basis[0].grid.hi
+    top = wide_adjacent_basis.grid.hi
     log10_top = pt.eval_wkb("adjacent", top) / math.log(10.0)
-    rise = pt.compare_to_numeric("adjacent", ADJACENT)[1].numeric_full_slope
-    mat = pt.amplitude_matrix(wide_adjacent_basis, pt.metric_of(ADJACENT))
+    rise = pt.compare_to_numeric("adjacent")[1].numeric_full_slope
+    mat = pt.amplitude(wide_adjacent_basis, wide_adjacent_basis,
+                       pt.metric_of(ADJACENT))
     max_amp = float(np.abs(mat).max())
     ok = log10_top > 10.0 and rise > 0 and max_amp <= 1.0 + 1e-8
     _report("5 blowup-yet-finite", ok,

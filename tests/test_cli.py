@@ -494,11 +494,21 @@ def test_exit_code_lapack_failure(tmp_path, capsys, monkeypatch, driver):
                   "--branch", "upper"],
                  ("BranchUndefined", "root of (1e+17-50j) is real and no "
                   "sample decides the branch"), id="branch-undefined"),
+    # |b/c| = 1e15: a sample of the PT-symmetry test decides the branch, but
+    # on the polyline's x in [-6, 6] none does
+    pytest.param(["--a", "1", "--b", "1000000000000000", "--c", "1",
+                  "--branch", "upper"],
+                 ("BranchUndefined", "root of (1000000000000000-6j) is real "
+                  "and no sample decides the branch"),
+                 id="branch-undefined-on-polyline"),
 ])
 def test_exit_code_wedge_geometry(tmp_path, capsys, argv, error):
-    assert main(["wedges", *argv, "--out", str(tmp_path)]) == 2
+    # rejected before any work: no output directory is made
+    out = tmp_path / "out"
+    assert main(["wedges", *argv, "--out", str(out)]) == 2
     err = json.loads(capsys.readouterr().out)["error"]
     assert (err["kind"], err["type"], err["message"]) == ("validation", *error)
+    assert not out.exists()
 
 
 def wedges_payload(tmp_path, capsys, b, branch):

@@ -9,8 +9,8 @@ from ptcontour.catalog import (ADJACENT, LOWER_PT, LOWER_PT_B5, SQRT_IX,
 from ptcontour.errors import PushforwardMismatch
 from ptcontour.isomap import (IsoMap, map_params, push_metric, push_wavefn,
                               verify_isometry)
-from ptcontour.metric import (amplitude, amplitude_matrix,
-                              default_momentum_grid, eigenbasis, metric_of)
+from ptcontour.metric import (amplitude, default_momentum_grid, eigenbasis,
+                              metric_of)
 from ptcontour.opalg import hermitize
 from ptcontour.rational import GaussianRational as Q
 from ptcontour.reference import REFERENCE_LEVELS
@@ -113,7 +113,7 @@ def test_push_metric_functorial():
 # --- wavefunction transport ------------------------------------------------------
 
 def test_push_wavefn_identity():
-    u = eigenbasis(LOWER_PT, 1, default_momentum_grid(LOWER_PT))[0]
+    u = eigenbasis(LOWER_PT, 3, default_momentum_grid(LOWER_PT))
     pushed = push_wavefn(map_params(LOWER_PT, LOWER_PT), u)
     assert pushed.grid == u.grid
     assert pushed.exponent == u.exponent
@@ -122,7 +122,7 @@ def test_push_wavefn_identity():
 
 def test_push_wavefn_exponent_transport():
     # beta = 4, gamma = 3/4 carries -(2/3)p^3 + p onto -(1/96)p^3 + p exactly
-    u = eigenbasis(UPPER_PT, 1, default_momentum_grid(UPPER_PT))[0]
+    u = eigenbasis(UPPER_PT, 1, default_momentum_grid(UPPER_PT))
     assert u.exponent == (Fraction(0), Fraction(1), Fraction(0),
                           Fraction(-2, 3))
     pushed = push_wavefn(map_params(UPPER_PT, LOWER_PT), u)
@@ -131,10 +131,11 @@ def test_push_wavefn_exponent_transport():
 
 
 def test_push_wavefn_negative_beta_parity_fold():
-    u = eigenbasis(ADJACENT, 1, default_momentum_grid(ADJACENT))[0]
+    u = eigenbasis(ADJACENT, 3, default_momentum_grid(ADJACENT))
     pushed = push_wavefn(map_params(ADJACENT, LOWER_PT), u)   # beta = -4
     scale = 2.0                                               # |beta|^(1/2)
-    assert np.abs(pushed.factor - u.factor[::-1] / scale).max() < 1e-15
+    # every row is reversed on its own: the fold acts on p only
+    assert np.array_equal(pushed.factor, u.factor[:, ::-1] / scale)
     assert pushed.grid.hi == 4 * u.grid.hi
     # exponent: (2/3)/(-64) = -1/96 on the cubic; 1/(-4) + 5/4 = 1 on p
     assert pushed.exponent == (Fraction(0), Fraction(1), Fraction(0),
@@ -142,11 +143,11 @@ def test_push_wavefn_negative_beta_parity_fold():
 
 
 def test_push_wavefn_norm_preserved():
-    u = eigenbasis(UPPER_PT, 1, default_momentum_grid(UPPER_PT))[0]
+    u = eigenbasis(UPPER_PT, 3, default_momentum_grid(UPPER_PT))
     m = map_params(UPPER_PT, LOWER_PT)
     pushed = push_wavefn(m, u)
     val = amplitude(pushed, pushed, metric_of(LOWER_PT))
-    assert abs(val - 1.0) < 1e-6
+    assert np.abs(val - np.eye(3)).max() < 1e-6
 
 
 # --- isometry reports ----------------------------------------------------------------

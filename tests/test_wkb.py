@@ -113,23 +113,19 @@ def test_weighted_adjacent_integrable_under_domain_doubling():
 
 # --- bridge to the numerics -------------------------------------------------------------
 
-def test_compare_requires_matching_params():
-    with pytest.raises(ValueError):
-        compare_to_numeric("adjacent", UPPER_PT)
-
-
 @pytest.mark.parametrize("tag,params", [("upper_pt", UPPER_PT),
                                         ("adjacent", ADJACENT),
                                         ("sqrt_ix", SQRT_IX)])
 def test_factor_decay_slopes_match_wkb(tag, params):
-    for side in compare_to_numeric(tag, params):
+    assert TAG_PARAMS[tag] == params
+    for side in compare_to_numeric(tag):
         assert side.slopes_within_band, (tag, side)
         # decaying factor on both sides: both slope estimates share a sign
         assert side.numeric_factor_slope * side.wkb_factor_slope > 0
 
 
 def test_adjacent_positive_end_full_slopes_positive():
-    sides = compare_to_numeric("adjacent", ADJACENT)
+    sides = compare_to_numeric("adjacent")
     plus = next(s for s in sides if s.side == +1)
     assert plus.numeric_full_slope > 0
     assert plus.wkb_full_slope > 0
@@ -137,8 +133,7 @@ def test_adjacent_positive_end_full_slopes_positive():
 
 
 def test_decaying_tags_full_slopes_negative():
-    for tag, params in (("upper_pt", UPPER_PT), ("sqrt_ix", SQRT_IX)):
-        plus = next(s for s in compare_to_numeric(tag, params)
-                    if s.side == +1)
+    for tag in ("upper_pt", "sqrt_ix"):
+        plus = next(s for s in compare_to_numeric(tag) if s.side == +1)
         assert plus.numeric_full_slope < 0
         assert plus.wkb_full_slope < 0
