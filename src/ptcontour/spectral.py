@@ -13,12 +13,13 @@ have no grid-scale sawtooth null modes: the lowest eigenpairs of the matrix
 are the physical ones.  Matrices are stored as LAPACK band arrays of
 half-bandwidth u at most 3, so storage costs O(n).  The eigenvalues are found
 coarse to fine: LAPACK's ``?sbevx`` (``?hbevx`` for a complex band), whose
-O(m^2 u) band-to-tridiagonal reduction runs on the band coarsened fourfold
-(m ~ n/4 points), and Rayleigh-quotient iteration on the band itself refines
-each value and finds its vector with a few O(n u^2) ``?gbsv`` solves.  Both
-drivers are called as ``eig_banded`` and ``solve_banded`` call them, less
-their per-call copies.  ``scipy.linalg`` is imported at the first solve, so
-that commands which solve nothing do not load it.
+O(m^2 u) band-to-tridiagonal reduction runs on the band coarsened r-fold
+(m ~ n/r points, r = 16, 8 or 4, the coarsest that passes its check), and
+Rayleigh-quotient iteration on the band itself refines each value and finds
+its vector with a few O(n u^2) ``?gbsv`` solves.  Both drivers are called as
+``eig_banded`` and ``solve_banded`` call them, less their per-call copies.
+``scipy.linalg`` is imported at the first solve, so that commands which
+solve nothing do not load it.
 """
 from __future__ import annotations
 
@@ -33,8 +34,9 @@ from .reference import REFERENCE_DOMAIN, REFERENCE_GRID_SIZES
 _MAX_LEVELS = 12
 #: bound on ||A v - lambda v|| / max|A|; converged ~6e-16, missed level ~1e-9
 _RESIDUAL_BOUND = 1e-12
-#: the band seeding the eigenvalues keeps every 4th grid point
-_COARSENING = 4
+#: the bands that may seed the eigenvalues, tried coarsest first: each keeps
+#: every r-th grid point and is checked against the band keeping every 2r-th
+_COARSENINGS = (16, 8, 4)
 #: bound on residual / (distance to the nearest other level), which bounds
 #: the error of each eigenvector (Davis-Kahan)
 _VECTOR_TOL = 1e-13
@@ -239,15 +241,17 @@ def hermitian_eigenpairs(ab: np.ndarray, k: int):
     """Lowest k eigenpairs (values, vectors in columns) of a Hermitian band,
     and the name of the method that found them.
 
-    The lowest values of the band coarsened fourfold seed Rayleigh-quotient
+    The lowest values of the band coarsened r-fold seed Rayleigh-quotient
     iteration on the band itself (nested iteration: Brandt 1977; RQI:
-    Parlett 1998).  The seeds are used only if the band coarsened eightfold
-    gives each of them again to within a quarter of its distance to the
-    nearest other seed, so that they have converged in the grid spacing.  A
-    level is refined until its residual is below ``_VECTOR_TOL`` times that
-    distance, which bounds the error of its vector.  Each refined value must
-    stay within a quarter of the distance too, and the values must increase.
-    Otherwise the band's own values seed the iteration.
+    Parlett 1998), for the first r of ``_COARSENINGS`` whose seeds pass two
+    tests.  The band coarsened 2r-fold must give each seed again to within
+    a quarter of its distance to the nearest other seed, so that the seeds
+    have converged in the grid spacing; the iteration then starts from the
+    Richardson extrapolation of the two values.  A level is refined until
+    its residual is below ``_VECTOR_TOL`` times that distance, which bounds
+    the error of its vector.  Each refined value must stay within a quarter
+    of the distance of its seed too, and the values must increase.  If no
+    rung passes, the band's own values seed the iteration.
     """
     u, n = ab.shape[0] // 2, ab.shape[1]
     defect = max(np.abs(ab[u - d, d:] - ab[u + d, :n - d].conj()).max()
@@ -262,15 +266,19 @@ def hermitian_eigenpairs(ab: np.ndarray, k: int):
                            for lam, d in zip(seeds, near)))
         return np.array(vals), np.stack(vecs, axis=1)
 
-    coarse = _coarsened(sym, _COARSENING, k)
-    check = None if coarse is None else _coarsened(coarse, 2, k)
-    if check is not None:
+    for ratio in _COARSENINGS:
+        coarse = _coarsened(sym, ratio, k)
+        check = None if coarse is None else _coarsened(coarse, 2, k)
+        if check is None:
+            continue
         seeds, near = _seeds(coarse, k)
-        if np.all(np.abs(_seeds(check, k)[0] - seeds) < near / 4):
-            vals, vecs = refine(seeds, near)
+        again = _seeds(check, k)[0]
+        if np.all(np.abs(again - seeds) < near / 4):
+            vals, vecs = refine(_richardson(again, seeds, 2 * ratio, ratio),
+                                near)
             if np.all(np.abs(vals - seeds) < near / 4) \
                     and np.all(np.diff(vals) > 0):
-                return vals, vecs, f"eig_banded/{_COARSENING}+rqi"
+                return vals, vecs, f"eig_banded/{ratio}+rqi"
     return (*refine(*_seeds(sym, k)), "eig_banded+rqi")
 
 

@@ -20,7 +20,9 @@ from ptcontour.metric import default_momentum_grid, metric_of
 from ptcontour.opalg import (ANCHOR, ContourParams, canonical_swap,
                              hermitian_form, hermitize, is_hermitian)
 from ptcontour.rational import GaussianRational as Q
-from ptcontour.spectral import band_to_dense, eigensolve_hermitian, matrixize
+from ptcontour.spectral import (Grid, band_to_dense, eigensolve_hermitian,
+                                matrixize)
+from test_spectral import assert_banded_levels, banded_levels
 
 _HALVES = [Fraction(k, 2) for k in range(-4, 5)]     # -2, -3/2, ..., 2
 
@@ -78,6 +80,24 @@ def test_banded_levels_match_dense_reference(n):
             levels = eigensolve_hermitian(ab, k, grid=grid).real_parts()
             assert np.abs(levels - dense[:k]).max() \
                 < 1e-11 * np.abs(dense[:k]).max()
+
+
+def test_seed_ladder_matches_full_band_at_workload_sizes():
+    # at these sizes the 16- and 8-fold rungs seed most solves; the full
+    # band's own lowest values are the reference, so no level may be skipped
+    cases = [(hermitize(p).h, lambda n, p=p: default_momentum_grid(p, n=n))
+             for p in random_contours(8)]
+    cases.append((ANCHOR, lambda n: Grid("position", -6.0, 6.0, n)))
+    methods = set()
+    for op, grid_of in cases:
+        for n in (801, 1601):
+            ab = matrixize(op, grid_of(n))
+            ref = banded_levels(ab, 12)
+            for k in (1, 5, 12):
+                res = eigensolve_hermitian(ab, k)
+                assert_banded_levels(ab, res, k, ref[:k])
+                methods.add(res.method)
+    assert {"eig_banded/16+rqi", "eig_banded/8+rqi"} <= methods
 
 
 def test_isometry_on_random_pairs_passes_or_raises_typed():

@@ -242,7 +242,7 @@ def test_momentum_representation_matches_reference():
         / np.array(REFERENCE_LEVELS[:5])
     assert rel.max() < 1e-5
     assert max(res.residual_norms) < 1e-8
-    assert res.method == "eig_banded/4+rqi"
+    assert res.method == "eig_banded/16+rqi"
 
 
 def banded_levels(ab, k):
@@ -253,8 +253,8 @@ def banded_levels(ab, k):
                           select_range=(0, k - 1))
 
 
-def assert_banded_levels(ab, res, k):
-    ref = banded_levels(ab, k)
+def assert_banded_levels(ab, res, k, ref=None):
+    ref = banded_levels(ab, k) if ref is None else ref
     assert np.abs(res.real_parts() - ref).max() < 1e-10 * np.abs(ref).max()
 
 
@@ -273,14 +273,15 @@ def test_fine_band_seeds_when_coarse_cannot(n, k):
 @pytest.mark.parametrize("op,n", [
     # eigenvectors of a multiplication operator are single grid points
     (OperatorExpr({(2, 0): Q(1), (1, 0): Q(Fraction(1, 10))}), 801),
-    # levels of width 0.02, below the coarse spacing 0.12
+    # levels of width 0.02, below every coarse spacing (0.12 at ratio 4)
     (OperatorExpr({(0, 2): Q(Fraction(1, 10 ** 7)), (2, 0): Q(1),
                    (1, 0): Q(Fraction(1, 10))}), 401),
-    # a band eightfold coarser than 27 points holds no 6 levels
+    # a band eightfold coarser than 27 points (or coarser still) holds no 6
+    # levels
     (ANCHOR, 27),
 ], ids=["x^2+x/10", "1e-7p^2+x^2+x/10", "anchor-n27"])
 def test_unresolved_levels_are_not_coarse_seeded(op, n):
-    # the fourfold band misses or misplaces levels of the full band here
+    # every coarsened band misses or misplaces levels of the full band here
     ab = matrixize(op, Grid("position", -6.0, 6.0, n))
     res = eigensolve_hermitian(ab, 5)
     assert res.method == "eig_banded+rqi"
@@ -317,23 +318,48 @@ def test_band_of_no_stencil_sums_is_not_coarsened():
     assert_banded_levels(ab, res, 4)
 
 
-def test_guard_catches_misplaced_seeds(monkeypatch):
-    # seeds 3 above the anchor levels (spacings 4.5-7.4) lie nearer to the
-    # next level up, so the iteration from the lowest seed finds level 1
+def shift_coarsened(monkeypatch, shift, ratios):
+    """Raise the diagonal of the bands coarsened by the picked ratios."""
     import ptcontour.spectral as spectral
     coarsened = spectral._coarsened
 
     def shifted(band, ratio, k):
         coarse = coarsened(band, ratio, k)
-        if ratio == 4:      # the eightfold band inherits the shift
-            coarse[coarse.shape[0] // 2] += 3.0
+        if ratios(ratio):
+            coarse[coarse.shape[0] // 2] += shift
         return coarse
     monkeypatch.setattr(spectral, "_coarsened", shifted)
-    g = Grid("position", -6.0, 6.0, 801)
-    ab = matrixize(ANCHOR, g)
+
+
+def assert_every_rung_refused(op, extent):
+    g = Grid("position", -extent, extent, 801)
+    ab = matrixize(op, g)
     res = eigensolve_hermitian(ab, 5, grid=g)
     assert res.method == "eig_banded+rqi"
     assert_banded_levels(ab, res, 5)
+
+
+def test_guard_catches_misplaced_seeds(monkeypatch):
+    # seeds 3 above the anchor levels (spacings 4.5-7.4) lie nearer to the
+    # next level up, so the iteration from the lowest seed finds level 1;
+    # every rung is shifted, and its check band inherits the shift, so each
+    # rung's guard must refuse its seeds
+    shift_coarsened(monkeypatch, 3.0, lambda ratio: ratio != 2)
+    assert_every_rung_refused(ANCHOR, 6.0)
+
+
+def test_guard_catches_seeds_that_each_find_the_next_level(monkeypatch):
+    # seeds 1.2 above the levels 1, 3, 5, ... of p^2 + x^2 each find the next
+    # level up, in increasing order: only their distance gives them away
+    shift_coarsened(monkeypatch, 1.2, lambda ratio: ratio != 2)
+    assert_every_rung_refused(OSC, 10.0)
+
+
+def test_check_refuses_seeds_its_coarser_band_disagrees_with(monkeypatch):
+    # only the check bands are shifted: the seeds are right and would refine
+    # to every level, but no rung may use seeds its check does not confirm
+    shift_coarsened(monkeypatch, 3.0, lambda ratio: ratio == 2)
+    assert_every_rung_refused(ANCHOR, 6.0)
 
 
 def reference_seeds(band, k):
@@ -395,7 +421,8 @@ def test_direct_drivers_match_public_wrappers_bitwise(monkeypatch, op,
             assert (res.method, res.residual_norms) \
                 == (ref.method, ref.residual_norms)
             methods.add(res.method)
-    assert methods == {"eig_banded/4+rqi", "eig_banded+rqi"}
+    assert "eig_banded+rqi" in methods
+    assert methods & {f"eig_banded/{r}+rqi" for r in spectral._COARSENINGS}
 
 
 def test_residual_gate_wired(monkeypatch):

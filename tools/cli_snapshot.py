@@ -8,12 +8,28 @@ with whatever ``ptcontour`` is first on ``sys.path``.  For each command it
 writes ``OUTDIR/<name>/stdout``, ``OUTDIR/<name>/exit_code`` and the
 command's ``--out`` tree under ``OUTDIR/<name>/out``.  An exception that
 escapes ``main`` is recorded as exit code 1 with its type and message.
-Snapshot two checkouts and compare them with ``diff -r OUTDIR_A OUTDIR_B``.
+Snapshot two checkouts and compare them with ``diff -r OUTDIR_A OUTDIR_B``,
+or summarize how they differ with
+
+    python tools/cli_snapshot.py --compare OUTDIR_A OUTDIR_B
+
+which prints the largest absolute change of each float field in the files
+that differ, keyed by the payload's command and the field's path with list
+indices dropped (such as ``spectrum:.eigenvalues[].re``), then lists every
+other difference: strings such as ``method``, integers such as exit codes,
+NaNs, list lengths, missing keys and files.  JSON files and JSON stdout are
+compared field by field, CSV files cell by cell under their header, and any
+other text token by token.  The exit code is 0 if the trees are
+byte-identical and 1 otherwise.
 """
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
+import json
+import math
+import re
 import sys
 from pathlib import Path
 
@@ -78,7 +94,92 @@ def snapshot(outdir: str | Path, names=None) -> Path:
     return outdir
 
 
+_ABSENT = "<absent>"
+
+
+def _scalar(token: str):
+    """A text token as the number it spells, or the token itself."""
+    if re.fullmatch(r"[+-]?\d+", token):
+        return int(token)
+    try:
+        return float(token)
+    except ValueError:
+        return token
+
+
+def _parsed(path: Path):
+    """A snapshot file as (key prefix, nested dicts and lists of scalars)."""
+    text = path.read_text()
+    try:
+        data = json.loads(text)
+    except ValueError:
+        pass
+    else:
+        if isinstance(data, dict) and "command" in data:
+            return data["command"], data
+        return path.name, data
+    if path.suffix == ".csv":
+        rows = list(csv.reader(io.StringIO(text)))
+        return path.name, [{h: _scalar(c) for h, c in zip(rows[0], row)}
+                           for row in rows[1:]]
+    return path.name, [[_scalar(t) for t in line.split()]
+                       for line in text.splitlines()]
+
+
+def _diff(a, b, path, prefix, where, table, other):
+    """Fold the float changes of a -> b into table, list the rest in other."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for name in sorted(a.keys() | b.keys()):
+            _diff(a.get(name, _ABSENT), b.get(name, _ABSENT), f"{path}.{name}",
+                  prefix, where, table, other)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            _diff(x, y, f"{path}[{i}]", prefix, where, table, other)
+    elif (float in (type(a), type(b)) and {type(a), type(b)} <= {int, float}
+          and not math.isnan(a - b)):
+        key = f"{prefix}:" + re.sub(r"\[\d+\]", "[]", path)
+        table[key] = max(table.get(key, 0.0), abs(a - b))
+    elif isinstance(a, list) and isinstance(b, list):
+        other.append(f"{where} {path}".rstrip()
+                     + f": {len(a)} items -> {len(b)} items")
+    elif type(a) is not type(b) or a != b:
+        other.append(f"{where} {path}".rstrip() + f": {a!r} -> {b!r}")
+
+
+def compare(dir_a: str | Path, dir_b: str | Path):
+    """The largest change of each float field and the other differences."""
+    dir_a, dir_b = Path(dir_a), Path(dir_b)
+    files = {p.relative_to(d) for d in (dir_a, dir_b)
+             for p in d.rglob("*") if p.is_file()}
+    table: dict[str, float] = {}
+    other: list[str] = []
+    for rel in sorted(files):
+        a, b = dir_a / rel, dir_b / rel
+        if not (a.exists() and b.exists()):
+            other.append(f"{rel}: only in {dir_a if a.exists() else dir_b}")
+        elif a.read_bytes() != b.read_bytes():
+            (prefix, data_a), (_, data_b) = _parsed(a), _parsed(b)
+            _diff(data_a, data_b, "", prefix, rel, table, other)
+    return table, other
+
+
+def _print_comparison(dir_a, dir_b) -> int:
+    table, other = compare(dir_a, dir_b)
+    if table:
+        print("largest absolute change of each float field:")
+        width = max(map(len, table))
+        for key in sorted(table):
+            print(f"  {key:<{width}}  {table[key]:.3g}")
+    if other:
+        print("other differences:")
+        for line in other:
+            print(f"  {line}")
+    return 1 if table or other else 0
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        sys.exit(_print_comparison(sys.argv[2], sys.argv[3]))
     if len(sys.argv) != 2:
         sys.exit(__doc__)
     snapshot(sys.argv[1])
