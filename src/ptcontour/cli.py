@@ -174,8 +174,12 @@ def _cmd_algebra_verify(args):
 
 
 def _spectrum_payload(params: ContourParams, levels: int, grid: Grid):
-    h = hermitize(params).h
-    result = eigensolve_hermitian(matrixize(h, grid), levels, grid=grid)
+    """The spectrum of the contour's Hermitian equivalent, from its closed
+    form :func:`hermitian_form`, which :func:`hermitize` equals term for
+    term (``tests/test_symbolic.py`` proves it, ``algebra-verify`` checks
+    it)."""
+    result = eigensolve_hermitian(
+        matrixize(hermitian_form(params), grid), levels, grid=grid)
     ref = reference.REFERENCE_LEVELS[:levels]
     rel = max(abs(ev.real - r) / abs(r)
               for ev, r in zip(result.eigenvalues, ref))

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NonIntegrable
-from .opalg import ContourParams, dyson_coefficients, hermitize
+from .opalg import ContourParams, dyson_coefficients, hermitian_form
 from .spectral import Grid, eigensolve_hermitian, matrixize
 
 _EXP_OVERFLOW = 700.0
@@ -107,20 +107,25 @@ def eigenbasis(params: ContourParams, k: int, grid: Grid) -> TaggedWaveFn:
     analytically: the basis carries exponent -(f p^3 + g p) with the smooth
     eigenvectors as its C-contiguous factor rows, level i in row i.  Each
     row is normalized against the Simpson weights of the grid and phased so
-    its largest sample is positive.
+    its largest sample is positive.  The Hermitian equivalent is the closed
+    form :func:`hermitian_form`, and (f, g) are :func:`dyson_coefficients`:
+    :func:`hermitize` builds the same operator term for term through the
+    commutator series, as ``tests/test_symbolic.py`` proves and
+    ``algebra-verify`` checks.
     """
     if grid.variable != "momentum":
         raise ValueError("eigenbasis requires a momentum grid")
     if grid.n % 2 == 0:
         raise ValueError("eigenbasis requires an odd point count (Simpson)")
-    res = hermitize(params)
-    vecs = eigensolve_hermitian(matrixize(res.h, grid), k).eigenvectors
+    cubic, linear = dyson_coefficients(params)
+    vecs = eigensolve_hermitian(matrixize(hermitian_form(params), grid),
+                                k).eigenvectors
     w = simpson_weights(grid.n, grid.spacing)
     f = vecs.T.astype(float, order="C")
     f /= np.sqrt((w * f * f).sum(-1))[:, None]
     f[f[np.arange(k), np.abs(f).argmax(-1)] < 0] *= -1.0
     return TaggedWaveFn(grid=grid, factor=f,
-                        exponent=(Fraction(0), -res.g, Fraction(0), -res.f))
+                        exponent=(Fraction(0), -linear, Fraction(0), -cubic))
 
 
 def default_momentum_grid(params: ContourParams, n: int = 1201) -> Grid:

@@ -360,11 +360,13 @@ def hermitian_form(params: ContourParams) -> OperatorExpr:
 
     ``(4/lam^4) p^4 + (2/lam) p + lam^2 x^2`` with lam = a^2 c -- the
     independent route against which the commutator-series construction is
-    checked.
+    checked.  The terms are listed in the order the series yields them, so
+    that :func:`~ptcontour.spectral.matrixize`, which adds them in order,
+    gives the very bits of the band of :func:`hermitize`'s operator.
     """
     lam, _ = params.invariants()
-    return OperatorExpr({(0, 4): 4 / lam ** 4, (0, 1): 2 / lam,
-                         (2, 0): lam ** 2})
+    return OperatorExpr({(0, 1): 2 / lam, (2, 0): lam ** 2,
+                         (0, 4): 4 / lam ** 4})
 
 
 def substitute_linear(a: OperatorExpr, x_image: OperatorExpr,

@@ -18,11 +18,15 @@ O(m^2 u) band-to-tridiagonal reduction runs on the band coarsened r-fold
 Rayleigh-quotient iteration on the band itself refines each value and finds
 its vector with a few O(n u^2) ``?gbsv`` solves.  Both drivers are called as
 ``eig_banded`` and ``solve_banded`` call them, less their per-call copies.
-``scipy.linalg`` is imported at the first solve, so that commands which
-solve nothing do not load it.
+They come from scipy's compiled LAPACK module ``_flapack``, loaded from its
+file at the first solve, so that no command imports ``scipy.linalg`` (and
+with it ``scipy.sparse``) and commands which solve nothing load no LAPACK at
+all; ``get_lapack_funcs`` supplies a driver if that file or the driver is
+missing.  Only :func:`eigensolve_general` imports ``scipy.linalg``.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,20 +190,55 @@ def _coarsened(band: np.ndarray, ratio: int, k: int) -> np.ndarray | None:
     return (basis * float(ratio) ** -np.array(orders)) @ coef
 
 
+@functools.cache
+def _flapack():
+    """scipy's compiled LAPACK module, loaded from its file under scipy's
+    ``linalg/`` directory without importing ``scipy.linalg``; None if no
+    such file is found."""
+    import importlib.machinery
+    import importlib.util
+    from pathlib import Path
+    scipy = importlib.util.find_spec("scipy")
+    linalg = Path(scipy.submodule_search_locations[0]) / "linalg"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = linalg / f"_flapack{suffix}"
+        if path.is_file():
+            # under scipy's own name, which its init function needs and
+            # under which a later ``import scipy.linalg`` finds it loaded
+            spec = importlib.util.spec_from_file_location(
+                "scipy.linalg._flapack", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    return None
+
+
+def _lapack(name: str, dtype):
+    """LAPACK's ``?name`` for arrays of ``dtype``, as (full name, driver):
+    the d driver for a real dtype, the z driver for a complex one."""
+    is_complex = np.dtype(dtype).kind == "c"
+    full = ("z" if is_complex else "d") + name
+    driver = getattr(_flapack(), full, None)
+    if driver is None:
+        from scipy.linalg.lapack import get_lapack_funcs
+        driver, = get_lapack_funcs((name,),
+                                   dtype=complex if is_complex else float)
+    return full, driver
+
+
 def _seeds(band: np.ndarray, k: int):
     """The lowest k values of a band, and each one's distance to the nearest
     other of its lowest k + 1 (k if the band has only k columns)."""
-    from scipy.linalg.lapack import get_lapack_funcs
     top = k if band.shape[1] > k else k - 1
     upper = np.asarray_chkfinite(band[:band.shape[0] // 2 + 1])
-    name = "hbevx" if upper.dtype.kind == "c" else "sbevx"
-    bevx, = get_lapack_funcs((name,), (upper,))
+    name, bevx = _lapack("hbevx" if upper.dtype.kind == "c" else "sbevx",
+                         upper.dtype)
     # as eig_banded(eigvals_only=True, select="i") calls it; tiny = dlamch('s')
     vals, _, m, _, info = bevx(upper, 0.0, 1.0, 1, top + 1, compute_v=0,
                                mmax=1, range=2, lower=0, overwrite_ab=0,
                                abstol=2 * np.finfo(float).tiny)
     if info:
-        raise NotConverged(f"{bevx.typecode}{name} failed with info {info}")
+        raise NotConverged(f"{name} failed with info {info}")
     gaps = np.diff(vals[:m])
     return vals[:k], np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf])[:k]
 
@@ -213,19 +252,19 @@ def _rayleigh_refine(sym: np.ndarray, lam: float, tol: float):
     the last Rayleigh quotient and its unit vector once the residual is below
     ``tol``, or after ``_RQI_STEPS`` steps.
     """
-    from scipy.linalg.lapack import get_lapack_funcs
     u, n = sym.shape[0] // 2, sym.shape[1]
     v = np.linspace(1.0, 2.0, n)
-    gbsv, = get_lapack_funcs(("gbsv",), (sym, v))
+    dtype = np.result_type(sym, v)
+    name, gbsv = _lapack("gbsv", dtype)
     # the band below u rows of LU fill-in; in Fortran order, factored in place
-    work = np.zeros((3 * u + 1, n), dtype=gbsv.dtype, order="F")
+    work = np.zeros((3 * u + 1, n), dtype=dtype, order="F")
     for _ in range(_RQI_STEPS):
         shift = lam + 1e-10 * max(1.0, abs(lam))
         work[u:] = sym
         work[2 * u] -= shift
         _, _, w, info = gbsv(u, u, work, v, overwrite_ab=1)
         if info:
-            raise NotConverged(f"{gbsv.typecode}gbsv failed with info {info}")
+            raise NotConverged(f"{name} failed with info {info}")
         norm = np.linalg.norm(w)
         # (A - shift) w = v, so A x = shift x + v / norm for x = w / norm
         x = w / norm
@@ -292,7 +331,8 @@ def check_levels(k: int) -> None:
 
 def _result(ab, vals, vecs, method, grid) -> SpectrumResult:
     """Package eigenpairs with ||A v - lambda v|| / ||v|| per column v."""
-    norms = (np.linalg.norm(_band_matmul(ab, vecs) - vecs * vals, axis=0)
+    band = ab if ab.imag.any() else ab.real     # no complex work for a real A
+    norms = (np.linalg.norm(_band_matmul(band, vecs) - vecs * vals, axis=0)
              / np.linalg.norm(vecs, axis=0))
     return SpectrumResult(tuple(complex(v) for v in vals),
                           tuple(float(r) for r in norms), grid, method, vecs)

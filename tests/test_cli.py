@@ -453,8 +453,7 @@ class _FailingDriver:
     """A LAPACK driver that runs, then reports ``info`` = 7."""
 
     def __init__(self, driver):
-        self.driver, self.typecode = driver, driver.typecode
-        self.dtype = driver.dtype
+        self.driver = driver
 
     def __call__(self, *args, **kwargs):
         return (*self.driver(*args, **kwargs)[:-1], 7)
@@ -464,14 +463,13 @@ class _FailingDriver:
 def test_exit_code_lapack_failure(tmp_path, capsys, monkeypatch, driver):
     # a failed ?sbevx seed solve or ?gbsv Rayleigh step is a typed
     # non-convergence, not a LinAlgError traceback
-    from scipy.linalg import lapack
-    real = lapack.get_lapack_funcs
+    from ptcontour import spectral
+    real = spectral._lapack
 
-    def lookup(names, arrays=(), *args, **kwargs):
-        return [_FailingDriver(f) if f.typecode + name == driver else f
-                for name, f in zip(names, real(names, arrays, *args,
-                                                **kwargs))]
-    monkeypatch.setattr(lapack, "get_lapack_funcs", lookup)
+    def lookup(name, dtype):
+        full, f = real(name, dtype)
+        return full, _FailingDriver(f) if full == driver else f
+    monkeypatch.setattr(spectral, "_lapack", lookup)
     out = tmp_path / "out"
     code = main(["spectrum", "--a", "-2i", "--b", "1", "--c", "1",
                  "--grid-n", "401", "--out", str(out)])

@@ -59,3 +59,24 @@ def test_compare_tabulates_float_changes_and_lists_the_rest(tmp_path, capsys):
     assert tool._print_comparison(a, b) == 1
     printed = capsys.readouterr().out
     assert "spectrum:.eigenvalues[].re" in printed and "0 -> 2" in printed
+
+
+def test_every_command_matches_the_committed_manifest(tmp_path):
+    """Every file the CLI prints or writes is byte-identical to the one
+    recorded in tests/cli_snapshot_manifest.json."""
+    tool = load_tool()
+    expected = json.loads((ROOT / "tests" / "cli_snapshot_manifest.json")
+                          .read_text())
+    got = tool.digests(tool.snapshot(tmp_path))
+    differ = sorted(name for name in got.keys() | expected["files"].keys()
+                    if got.get(name) != expected["files"].get(name))
+    if differ:
+        versions = tool.versions()
+        changed = {k: f"{expected['versions'].get(k)} -> {v}"
+                   for k, v in versions.items()
+                   if expected["versions"].get(k) != v}
+        raise AssertionError(
+            f"{len(differ)} snapshot files differ from the manifest: "
+            + ", ".join(differ)
+            + (f"; the versions differ from the manifest's: {changed}"
+               if changed else "; the versions are the manifest's"))

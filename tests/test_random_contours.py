@@ -13,10 +13,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ptcontour.catalog import LOWER_PT
+import ptcontour.metric as metric
+from ptcontour.catalog import LOWER_PT, STANDARD_FIVE
 from ptcontour.errors import PtContourError
 from ptcontour.isomap import map_params, push_metric, verify_isometry
-from ptcontour.metric import default_momentum_grid, metric_of
+from ptcontour.metric import default_momentum_grid, eigenbasis, metric_of
 from ptcontour.opalg import (ANCHOR, ContourParams, canonical_swap,
                              hermitian_form, hermitize, is_hermitian)
 from ptcontour.rational import GaussianRational as Q
@@ -65,6 +66,31 @@ def test_exact_identities_on_random_contours():
         direct = map_params(p0, p3)
         assert (left.beta, left.gamma) == (right.beta, right.gamma) \
             == (direct.beta, direct.gamma)
+
+
+def test_closed_form_band_has_the_bits_of_the_commutator_series(
+        monkeypatch):
+    # the numeric paths build their band from hermitian_form; its terms come
+    # in the order hermitize's series yields them, and matrixize adds terms
+    # in order, so the band keeps its bits
+    draws = [*STANDARD_FIVE, *random_contours(100)]
+    for params in draws:
+        h = hermitize(params).h
+        form = hermitian_form(params)
+        assert list(form.terms) == list(h.terms)
+        grid = default_momentum_grid(params, n=801)
+        assert np.array_equal(matrixize(form, grid), matrixize(h, grid))
+
+    for params in draws[:13]:
+        grid = default_momentum_grid(params, n=401)
+        basis = eigenbasis(params, 5, grid)
+        with monkeypatch.context() as m:
+            m.setattr(metric, "hermitian_form", lambda p: hermitize(p).h)
+            m.setattr(metric, "dyson_coefficients",
+                      lambda p: tuple(hermitize(p))[1:])
+            ref = eigenbasis(params, 5, grid)
+        assert np.array_equal(basis.factor, ref.factor)
+        assert basis.exponent == ref.exponent
 
 
 @pytest.mark.parametrize("n", [201, 401])

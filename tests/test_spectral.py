@@ -425,6 +425,27 @@ def test_direct_drivers_match_public_wrappers_bitwise(monkeypatch, op,
     assert methods & {f"eig_banded/{r}+rqi" for r in spectral._COARSENINGS}
 
 
+@pytest.mark.parametrize("op,grid_of", [
+    (ANCHOR, lambda n: Grid("position", -6.0, 6.0, n)),
+    (OperatorExpr({(0, 2): Q(1), (0, 1): Q(1), (2, 0): Q(1)}),
+     lambda n: Grid("position", -10.0, 10.0, n)),
+], ids=["real", "complex"])
+def test_drivers_fall_back_to_get_lapack_funcs_bitwise(monkeypatch, op,
+                                                       grid_of):
+    # with no _flapack file to load, get_lapack_funcs supplies the drivers,
+    # and the solves keep the bits of the public wrappers
+    import importlib.machinery
+    import ptcontour.spectral as spectral
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+    spectral._flapack.cache_clear()
+    try:
+        assert spectral._flapack() is None
+        test_direct_drivers_match_public_wrappers_bitwise(monkeypatch, op,
+                                                          grid_of)
+    finally:
+        spectral._flapack.cache_clear()
+
+
 def test_residual_gate_wired(monkeypatch):
     import ptcontour.spectral as spectral
     monkeypatch.setattr(spectral, "_RESIDUAL_BOUND", 1e-30)
@@ -545,13 +566,23 @@ def test_grid_refinement_monotonicity():
     assert np.all(drifts[1] < drifts[0])
 
 
-def test_scipy_linalg_loads_at_the_first_solve():
+def test_no_command_imports_scipy_linalg(tmp_path):
+    # the solves load scipy's LAPACK module from its file: scipy.linalg
+    # would bring scipy.sparse with it
+    (tmp_path / "sweep.ini").write_text("[lower]\na = -2i\nb = 1\nc = 1\n")
     code = "\n".join([
-        "import sys, ptcontour, ptcontour.cli",
-        "assert 'scipy.linalg' not in sys.modules",
-        "grid = ptcontour.Grid('position', -6.0, 6.0, 101)",
-        "ptcontour.eigensolve_hermitian(ptcontour.matrixize(ptcontour.ANCHOR, grid), 1)",
-        "assert 'scipy.linalg' in sys.modules",
+        "import sys",
+        "from ptcontour.cli import main",
+        f"out = {str(tmp_path)!r}",
+        "assert main(['spectrum', '--a', '-2i', '--b', '1', '--c', '1',"
+        " '--out', out + '/spectrum']) == 0",
+        "assert main(['iso-check', '--src', '1,1,1', '--dst', '-2i,1,1',"
+        " '-k', '3', '--out', out + '/iso']) == 0",
+        "assert main(['sweep', '--config', out + '/sweep.ini', '--levels', '2',"
+        " '--grid-n', '801', '--out', out + '/sweep']) == 0",
+        "assert 'scipy.linalg._flapack' in sys.modules",
+        "loaded = {'scipy.linalg', 'scipy.sparse'} & sys.modules.keys()",
+        "assert not loaded, loaded",
     ])
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)

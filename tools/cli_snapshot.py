@@ -21,16 +21,24 @@ NaNs, list lengths, missing keys and files.  JSON files and JSON stdout are
 compared field by field, CSV files cell by cell under their header, and any
 other text token by token.  The exit code is 0 if the trees are
 byte-identical and 1 otherwise.
+
+    PYTHONPATH=src python tools/cli_snapshot.py --manifest FILE
+
+snapshots into a temporary directory and writes FILE: the sha256 of every
+file of the tree and the numpy, scipy and OpenBLAS versions that made it.
+``tests/test_cli_snapshot.py`` holds the CLI to the committed manifest.
 """
 from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 CATALOG = ("-2i,1,1", "i,1,1", "1,1,1", "1,0,1", "-2i,5,1")
@@ -92,6 +100,31 @@ def snapshot(outdir: str | Path, names=None) -> Path:
         (cmd_dir / "stdout").write_text(buf.getvalue())
         (cmd_dir / "exit_code").write_text(f"{code}\n")
     return outdir
+
+
+def digests(outdir: str | Path) -> dict[str, str]:
+    """The sha256 of every file under a snapshot, keyed by relative path."""
+    outdir = Path(outdir)
+    return {p.relative_to(outdir).as_posix():
+            hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(outdir.rglob("*")) if p.is_file()}
+
+
+def versions() -> dict[str, str]:
+    """The numpy and scipy versions and the OpenBLAS each was built with."""
+    import numpy
+    import scipy
+    import scipy.__config__
+    return {"numpy": numpy.__version__, "scipy": scipy.__version__,
+            **{f"{mod.__name__.split('.')[0]}-openblas":
+               mod.CONFIG["Build Dependencies"]["lapack"]["version"]
+               for mod in (numpy.__config__, scipy.__config__)}}
+
+
+def manifest() -> dict:
+    """The digests of a fresh snapshot of every command, and the versions."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return {"versions": versions(), "files": digests(snapshot(tmp))}
 
 
 _ABSENT = "<absent>"
@@ -180,6 +213,9 @@ def _print_comparison(dir_a, dir_b) -> int:
 if __name__ == "__main__":
     if len(sys.argv) == 4 and sys.argv[1] == "--compare":
         sys.exit(_print_comparison(sys.argv[2], sys.argv[3]))
+    if len(sys.argv) == 3 and sys.argv[1] == "--manifest":
+        Path(sys.argv[2]).write_text(json.dumps(manifest(), indent=1) + "\n")
+        sys.exit(0)
     if len(sys.argv) != 2:
         sys.exit(__doc__)
     snapshot(sys.argv[1])
