@@ -5,6 +5,9 @@ so paper-style inputs like ``-2i`` or ``1/3+2/5i`` round-trip exactly into
 the algebra.  Every subcommand writes its artifacts under ``--out`` only and
 produces deterministic output: identical configuration yields byte-identical
 JSON.  Only this module knows the JSON schema; the library returns results.
+A subcommand does all its work before :func:`_write` makes ``--out``, so a
+rejected run leaves no ``--out``; only ``algebra-verify`` writes its report
+of failing checks before it fails, because that report is its output.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical non-convergence,
 4 parse error.
@@ -75,11 +78,17 @@ def parse_complex(text: str) -> GaussianRational:
     raise ParseError(text, len(s), "not a complex literal")
 
 
+def _contour(a: str, b: str, c: str,
+             branch: str = "principal") -> ContourParams:
+    """A contour from the complex literals of a, b and c."""
+    return ContourParams(*map(parse_complex, (a, b, c)), Branch(branch))
+
+
 def parse_contour(text: str) -> ContourParams:
     parts = text.split(",")
     if len(parts) != 3:
         raise ParseError(text, 0, "expected three comma-separated literals")
-    return ContourParams(*(parse_complex(p) for p in parts))
+    return _contour(*parts)
 
 
 # ---------------------------------------------------------------------------
@@ -95,10 +104,22 @@ def _formats(text: str) -> set[str]:
     return names
 
 
-def _outdir(args) -> Path:
+def _write(args, artifacts: dict) -> None:
+    """Make ``--out`` and write each artifact whose format is selected; by
+    suffix, a ``.json`` payload, a ``.csv`` ``(header, rows)`` pair or an
+    ``.svg`` function that draws the figure at the path it is given."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    for name, content in artifacts.items():
+        fmt = name.rpartition(".")[2]
+        if fmt not in args.formats:
+            continue
+        if fmt == "json":
+            write_json(out / name, content)
+        elif fmt == "csv":
+            write_csv(out / name, *content)
+        else:
+            content(out / name)
 
 
 def _params_json(p: ContourParams) -> dict:
@@ -107,12 +128,6 @@ def _params_json(p: ContourParams) -> dict:
 
 def _complex_json(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
-
-
-def _params_from_args(args) -> ContourParams:
-    return ContourParams(parse_complex(args.a), parse_complex(args.b),
-                         parse_complex(args.c),
-                         Branch(getattr(args, "branch", "principal")))
 
 
 def _cmd_algebra_verify(args):
@@ -165,9 +180,7 @@ def _cmd_algebra_verify(args):
         print(f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}")
     payload = {"command": "algebra-verify", "checks": checks,
                "all_passed": all(c["passed"] for c in checks)}
-    out = _outdir(args)
-    if "json" in args.formats:
-        write_json(out / "algebra_verify.json", payload)
+    _write(args, {"algebra_verify.json": payload})
     if not payload["all_passed"]:
         raise PtContourError("algebra verification failed")
     return payload
@@ -192,18 +205,14 @@ def _spectrum_payload(params: ContourParams, levels: int, grid: Grid):
 
 
 def _cmd_spectrum(args):
-    params = _params_from_args(args)
+    params = _contour(args.a, args.b, args.c)
     payload = _spectrum_payload(
         params, args.levels, default_momentum_grid(params, n=args.grid_n))
-    out = _outdir(args)
-    if "json" in args.formats:
-        write_json(out / "spectrum.json", payload)
-    if "csv" in args.formats:
-        rows = [(i, ev["re"], ev["im"], res)
-                for i, (ev, res) in enumerate(zip(payload["eigenvalues"],
-                                                  payload["residuals"]))]
-        write_csv(out / "spectrum.csv",
-                  ["level", "re", "im", "residual"], rows)
+    rows = [(i, ev["re"], ev["im"], res)
+            for i, (ev, res) in enumerate(zip(payload["eigenvalues"],
+                                              payload["residuals"]))]
+    _write(args, {"spectrum.json": payload,
+                  "spectrum.csv": (["level", "re", "im", "residual"], rows)})
     return payload
 
 
@@ -221,36 +230,30 @@ def _cmd_iso_check(args):
                "amplitude_tables": {side: [[_complex_json(v) for v in row]
                                            for row in mat]
                                     for side, mat in tables.items()}}
-    out = _outdir(args)
-    if "json" in args.formats:
-        write_json(out / "iso_check.json", payload)
-    if "csv" in args.formats:
-        for side, mat in tables.items():
-            write_csv(out / f"amplitudes_{side}.csv",
-                      ["i"] + [f"j{j}" for j in range(report.k)],
-                      ([i] + [mat[i, j].real for j in range(report.k)]
-                       for i in range(report.k)))
+    header = ["i"] + [f"j{j}" for j in range(report.k)]
+    _write(args, {"iso_check.json": payload,
+                  **{f"amplitudes_{side}.csv":
+                     (header, [[i, *row.real] for i, row in enumerate(mat)])
+                     for side, mat in tables.items()}})
     return payload
 
 
 def _cmd_wedges(args):
-    params = _params_from_args(args)
+    params = _contour(args.a, args.b, args.c, args.branch)
     payload = {"command": "wedges",
                **dataclasses.asdict(wedge_report(params)),
                "params": {**_params_json(params),
                           "branch": params.branch.value}}
     xs, re_z, im_z = polyline(params)
-    out = _outdir(args)
-    if "json" in args.formats:
-        write_json(out / "wedges.json", payload)
-    if "csv" in args.formats:
-        write_csv(out / "contour.csv", ["x", "re_z", "im_z"],
-                  zip(xs, re_z, im_z))
-    if "svg" in args.formats:
+
+    def figure(path):
         from .svgfig import wedge_figure
-        wedge_figure(out / "wedges.svg",
-                     [(f"z = {params.a}*sqrt({params.b} + {params.c}*i*x)"
-                       f" [{params.branch.value}]", re_z, im_z, False)])
+        wedge_figure(path, [(
+            f"z = {params.a}*sqrt({params.b} + {params.c}*i*x)"
+            f" [{params.branch.value}]", re_z, im_z, False)])
+    _write(args, {"wedges.json": payload,
+                  "contour.csv": (["x", "re_z", "im_z"], zip(xs, re_z, im_z)),
+                  "wedges.svg": figure})
     return payload
 
 
@@ -270,21 +273,18 @@ def _cmd_wkb(args):
         "log_magnitude_at_ends": [float(logmag[0]), float(logmag[-1])],
         "weighted_at_ends": [float(weighted[0]), float(weighted[-1])],
     }
-    out = _outdir(args)
-    if "csv" in args.formats:
-        write_csv(out / f"wkb_{tag}.csv",
-                  ["p", "log_wkb", "log_weighted", "in_domain"],
-                  ((p, lm, wm, int(mk))
-                   for p, lm, wm, mk in zip(ps, logmag, weighted, mask)))
-    if "svg" in args.formats:
+
+    def figure(path):
         from .svgfig import line_chart
-        line_chart(out / f"wkb_{tag}.svg",
-                   [("log|profile|", ps, logmag),
-                    ("log|profile*eta*profile|", ps, weighted)],
+        line_chart(path, [("log|profile|", ps, logmag),
+                          ("log|profile*eta*profile|", ps, weighted)],
                    title=f"momentum-space profile: {tag}",
                    xlabel="p", ylabel="log magnitude")
-    if "json" in args.formats:
-        write_json(out / f"wkb_{tag}.json", payload)
+    _write(args, {
+        f"wkb_{tag}.csv": (["p", "log_wkb", "log_weighted", "in_domain"],
+                           ((p, lm, wm, int(mk)) for p, lm, wm, mk
+                            in zip(ps, logmag, weighted, mask))),
+        f"wkb_{tag}.svg": figure, f"wkb_{tag}.json": payload})
     return payload
 
 
@@ -296,25 +296,20 @@ def _cmd_hermite_demo(args):
               for n in range(k) for m in range(k))
     payload = {"command": "hermite-demo", "n_max": args.n_max,
                "table": table.table.tolist(), "max_relative_deviation": dev}
-    out = _outdir(args)
-    if "csv" in args.formats:
-        write_csv(out / "hermite_T.csv",
-                  ["n"] + [f"m{m}" for m in range(k)],
-                  ([n] + [table.table[n, m] for m in range(k)]
-                   for n in range(k)))
-        write_csv(out / "hermite_samples.csv",
-                  ["x", "H0", "H1", "H2", "H3"],
-                  ((x, *vals) for x, vals
-                   in zip(table.plot_x, table.plot_values.T)))
-    if "svg" in args.formats:
+
+    def figure(path):
         from .svgfig import line_chart
-        line_chart(out / "hermite.svg",
-                   [(f"H{n}", table.plot_x, table.plot_values[n])
-                    for n in range(4)],
+        line_chart(path, [(f"H{n}", table.plot_x, table.plot_values[n])
+                          for n in range(4)],
                    title="first four Hermite polynomials",
                    xlabel="x", ylabel="H_n(x)")
-    if "json" in args.formats:
-        write_json(out / "hermite.json", payload)
+    _write(args, {
+        "hermite_T.csv": (["n"] + [f"m{m}" for m in range(k)],
+                          ([n, *row] for n, row in enumerate(table.table))),
+        "hermite_samples.csv": (["x", "H0", "H1", "H2", "H3"],
+                                ((x, *vals) for x, vals
+                                 in zip(table.plot_x, table.plot_values.T))),
+        "hermite.svg": figure, "hermite.json": payload})
     return payload
 
 
@@ -337,27 +332,21 @@ def _cmd_sweep(args):
             if sec.get(key) is None:
                 raise PtContourError(
                     f"section [{section}] is missing key {key!r}")
-        params = ContourParams(parse_complex(sec.get("a")),
-                               parse_complex(sec.get("b")),
-                               parse_complex(sec.get("c")))
+        params = _contour(*(sec.get(key) for key in ("a", "b", "c")))
         levels = sec.getint("levels", fallback=args.levels)
         check_levels(levels)
         grid = default_momentum_grid(
             params, n=sec.getint("grid_n", fallback=args.grid_n))
         jobs.append((section, params, levels, grid))
-    out = _outdir(args)
-    summary = {}
-    for section, params, levels, grid in jobs:
-        payload = _spectrum_payload(params, levels, grid)
-        if "json" in args.formats:
-            write_json(out / f"spectrum_{section}.json", payload)
-        summary[section] = {
-            "eigenvalues": payload["eigenvalues"],
-            "max_relative_deviation": payload["max_relative_deviation"],
-        }
-    payload = {"command": "sweep", "sections": summary}
-    if "json" in args.formats:
-        write_json(out / "summary.json", payload)
+    spectra = {section: _spectrum_payload(params, levels, grid)
+               for section, params, levels, grid in jobs}
+    payload = {"command": "sweep", "sections": {
+        section: {key: spectrum[key]
+                  for key in ("eigenvalues", "max_relative_deviation")}
+        for section, spectrum in spectra.items()}}
+    _write(args, {**{f"spectrum_{section}.json": spectrum
+                     for section, spectrum in spectra.items()},
+                  "summary.json": payload})
     return payload
 
 
@@ -370,16 +359,10 @@ _VALUE_FLAGS = ("--a", "--b", "--c", "--src", "--dst")
 
 def _absorb_values(argv: list[str]) -> list[str]:
     """Join value flags with their argument so '-2i' is not read as a flag."""
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
+    out, tokens = [], iter(argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok in _VALUE_FLAGS else None
+        out.append(tok if value is None else f"{tok}={value}")
     return out
 
 
@@ -472,13 +455,12 @@ def main(argv=None) -> int:
         args.formats = _formats(args.formats)
         payload = args.func(args)
     except tuple(exc for exc, _, _ in _ERROR_CODES) as exc:
-        for exc_type, code, kind in _ERROR_CODES:
-            if isinstance(exc, exc_type):
-                print(canonical_dumps({
-                    "error": {"kind": kind, "type": type(exc).__name__,
-                              "message": str(exc)}}), end="")
-                return code
-        raise    # unreachable
+        code, kind = next((code, kind) for exc_type, code, kind
+                          in _ERROR_CODES if isinstance(exc, exc_type))
+        print(canonical_dumps({
+            "error": {"kind": kind, "type": type(exc).__name__,
+                      "message": str(exc)}}), end="")
+        return code
     print(canonical_dumps(payload), end="")
     return 0
 

@@ -283,6 +283,61 @@ def test_outputs_stay_inside_out_dir(tmp_path):
     assert produced == {"inner"}
 
 
+_FORMAT_ARGV = {
+    "algebra-verify": ["algebra-verify"],
+    "spectrum": ["spectrum", "--a", "-2i", "--b", "1", "--c", "1",
+                 "--levels", "2", "--grid-n", "401"],
+    "iso-check": ["iso-check", "--src", "1,1,1", "--dst", "-2i,1,1", "-k", "2",
+                  "--grid-n", "401"],
+    "wedges": ["wedges", "--a", "1", "--b", "1", "--c", "1"],
+    "wkb": ["wkb", "--tag", "adjacent", "--n", "11"],
+    "hermite-demo": ["hermite-demo", "--n-max", "2"],
+    "sweep": ["sweep", "--levels", "2", "--grid-n", "401"],
+}
+_FORMAT_FILES = {
+    "algebra-verify": {"json": {"algebra_verify.json"}},
+    "spectrum": {"json": {"spectrum.json"}, "csv": {"spectrum.csv"}},
+    "iso-check": {"json": {"iso_check.json"},
+                  "csv": {"amplitudes_src.csv", "amplitudes_dst.csv"}},
+    "wedges": {"json": {"wedges.json"}, "csv": {"contour.csv"},
+               "svg": {"wedges.svg"}},
+    "wkb": {"json": {"wkb_adjacent.json"}, "csv": {"wkb_adjacent.csv"},
+            "svg": {"wkb_adjacent.svg"}},
+    "hermite-demo": {"json": {"hermite.json"},
+                     "csv": {"hermite_T.csv", "hermite_samples.csv"},
+                     "svg": {"hermite.svg"}},
+    "sweep": {"json": {"spectrum_s0.json", "spectrum_s1.json",
+                       "summary.json"}},
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "svg"])
+@pytest.mark.parametrize("command", list(_FORMAT_ARGV))
+def test_formats_select_the_files_written(tmp_path, command, fmt):
+    # --out is made even when the format gives the command no file
+    argv = _FORMAT_ARGV[command]
+    if command == "sweep":
+        (tmp_path / "sweep.ini").write_text(
+            _SWEEP_OK + "[s1]\na = i\nb = 1\nc = 1\n")
+        argv = [*argv, "--config", str(tmp_path / "sweep.ini")]
+    out = tmp_path / "out"
+    assert main([*argv, "--formats", fmt, "--out", str(out)]) == 0
+    assert out.is_dir()
+    assert {p.name for p in out.iterdir()} \
+        == _FORMAT_FILES[command].get(fmt, set())
+
+
+def test_json_only_run_does_not_import_svgfig(tmp_path):
+    code = ("import sys; from ptcontour.cli import main; "
+            "main(['wedges', '--a', '1', '--b', '1', '--c', '1', "
+            f"'--formats', 'json,csv', '--out', {str(tmp_path)!r}]); "
+            "print('ptcontour.svgfig' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("False\n")
+
+
 # --- exit codes -----------------------------------------------------------------------
 
 def test_exit_code_parse_error(tmp_path, capsys):
@@ -386,6 +441,42 @@ def test_sweep_bad_config_rejected_before_any_work(tmp_path, capsys,
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["kind"] == {2: "validation", 4: "parse"}[code]
     assert err["message"] == message.format(cfg=str(cfg))
+    assert not out.exists()
+
+
+_GOOD = "[good]\na = -2i\nb = 1\nc = 1\n\n"
+
+
+@pytest.mark.parametrize("text,second,code,error", [
+    pytest.param(_GOOD + "[bad]\na = 1+i\nb = 1\nc = 1\n", None, 2,
+                 ("validation", "NotHermitizable",
+                  "a^2 c = 2i is not real for (1+i,1,1)"),
+                 id="not-hermitizable"),
+    pytest.param(_GOOD + "[later]\na = i\nb = 1\nc = 1\n",
+                 NotConverged("drift too large"), 3,
+                 ("numerical", "NotConverged", "drift too large"),
+                 id="not-converged"),
+])
+def test_sweep_rejected_after_a_solve_leaves_no_out(tmp_path, capsys,
+                                                    monkeypatch, text, second,
+                                                    code, error):
+    # the second section fails once the first is solved: nothing is written
+    import ptcontour.cli as cli
+    real, calls = cli._spectrum_payload, []
+
+    def payload(*args):
+        calls.append(args)
+        if second is not None and len(calls) == 2:
+            raise second
+        return real(*args)
+    monkeypatch.setattr(cli, "_spectrum_payload", payload)
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--levels", "2",
+                 "--grid-n", "401", "--out", str(out)]) == code
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert (err["kind"], err["type"], err["message"]) == error
     assert not out.exists()
 
 
