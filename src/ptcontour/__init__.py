@@ -7,45 +7,44 @@ every admissible contour ``z(x) = a*sqrt(b + i c x)`` applied to
 weight depends on the contour, and that the resulting Hilbert spaces are
 connected by explicit norm-preserving maps -- including contours whose
 wavefunctions blow up at one end.
-"""
 
-from .catalog import (ADJACENT, LOWER_PT, LOWER_PT_B5, SQRT_IX, STANDARD_FIVE,
-                      UPPER_PT)
-from .contour import (WedgeReport, endpoint_angles, is_pt_symmetric,
-                      polyline, sample, wedge_report)
-from .isomap import (IsoMap, IsometryReport, map_params, push_metric,
-                     push_wavefn, verify_isometry)
-from .metric import (MetricSpec, TaggedWaveFn, amplitude,
-                     default_momentum_grid, eigenbasis, exact_hermite_norm,
-                     hermite_demo, metric_of, simpson_weights)
-from .opalg import (ANCHOR, Branch, ContourParams, OperatorExpr, adjoint,
-                    bch_conjugate, build_h1, canonical_swap, commutator,
-                    dyson_coefficients, hermitian_form, hermitize,
-                    is_hermitian, multiply, substitute_linear)
-from .rational import GaussianRational
-from .reference import REFERENCE_LEVELS
-from .spectral import (Grid, SpectrumResult, eigensolve_general,
-                       eigensolve_hermitian, matrixize, oracle_spectrum,
-                       position_grid)
-from .wkb import (TAG_PARAMS, TAGS, compare_to_numeric, eval_wkb, in_domain,
-                  metric_weighted_wkb)
+Each public name is imported from its module at first use (PEP 562), so
+``import ptcontour`` loads none of them, and the exact algebra no numpy.
+"""
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ADJACENT", "ANCHOR", "Branch", "ContourParams", "GaussianRational",
-    "Grid", "IsoMap", "IsometryReport", "LOWER_PT", "LOWER_PT_B5",
-    "MetricSpec", "OperatorExpr", "REFERENCE_LEVELS", "SQRT_IX",
-    "STANDARD_FIVE", "SpectrumResult", "TAGS", "TAG_PARAMS",
-    "TaggedWaveFn", "UPPER_PT", "WedgeReport", "adjoint", "amplitude",
-    "bch_conjugate", "build_h1", "canonical_swap", "commutator",
-    "compare_to_numeric", "default_momentum_grid", "dyson_coefficients",
-    "eigenbasis", "eigensolve_general",
-    "eigensolve_hermitian", "endpoint_angles", "eval_wkb",
-    "exact_hermite_norm", "hermite_demo", "hermitian_form", "hermitize",
-    "in_domain", "is_hermitian", "is_pt_symmetric", "map_params",
-    "matrixize", "metric_of", "metric_weighted_wkb", "multiply",
-    "oracle_spectrum", "polyline", "position_grid", "push_metric",
-    "push_wavefn", "sample", "simpson_weights", "substitute_linear",
-    "verify_isometry", "wedge_report",
-]
+#: the public names of each module, the numpy-free exact core first
+_EXPORTS = {
+    "rational": "GaussianRational", "reference": "REFERENCE_LEVELS",
+    "opalg": "ANCHOR Branch ContourParams IsoMap MetricSpec OperatorExpr "
+             "adjoint bch_conjugate build_h1 canonical_swap commutator "
+             "dyson_coefficients hermitian_form hermitize is_hermitian "
+             "map_params metric_of multiply push_metric substitute_linear",
+    "catalog": "ADJACENT LOWER_PT LOWER_PT_B5 SQRT_IX STANDARD_FIVE TAGS "
+               "TAG_PARAMS UPPER_PT",
+    "contour": "WedgeReport endpoint_angles is_pt_symmetric polyline sample "
+               "wedge_report",
+    "spectral": "Grid SpectrumResult eigensolve_general eigensolve_hermitian "
+                "matrixize oracle_spectrum position_grid",
+    "metric": "TaggedWaveFn amplitude default_momentum_grid eigenbasis "
+              "exact_hermite_norm hermite_demo simpson_weights",
+    "isomap": "IsometryReport push_wavefn verify_isometry",
+    "wkb": "compare_to_numeric eval_wkb in_domain metric_weighted_wkb",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names.split()}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    # not cached: a name rebound in its module, then restored, is never stale
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -1,4 +1,4 @@
-"""Named contour parameter sets used across the CLI, demos and tests."""
+"""Named contours and profile tags used across the CLI, demos and tests."""
 from .opalg import ContourParams
 from .rational import GaussianRational as Q
 
@@ -19,3 +19,7 @@ LOWER_PT_B5 = ContourParams(Q(0, -2), Q(5), Q(1))
 
 #: the five-contour matrix every exact identity is exercised on
 STANDARD_FIVE = (LOWER_PT, UPPER_PT, ADJACENT, SQRT_IX, LOWER_PT_B5)
+
+#: the contour of each momentum-space profile of ``ptcontour.wkb``, by tag
+TAG_PARAMS = {"upper_pt": UPPER_PT, "adjacent": ADJACENT, "sqrt_ix": SQRT_IX}
+TAGS = tuple(TAG_PARAMS)

@@ -65,9 +65,7 @@ def sample(params: ContourParams, x_values) -> np.ndarray:
     sample where the root is real.  Leading samples with a real root
     continue backwards from the first sample that decides the branch.
     """
-    a = complex(params.a)
-    b = complex(params.b)
-    c = complex(params.c)
+    a, b, c = map(complex, (params.a, params.b, params.c))
     ws = [b + 1j * c * float(x) for x in x_values]
     roots = []
     for w in ws:

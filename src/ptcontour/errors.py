@@ -36,6 +36,10 @@ class NotCanonical(ValidationError):
     """Substitution images do not satisfy [x', p'] = i."""
 
 
+class PushforwardMismatch(PtContourError):
+    """Exact metric transport identity failed (implementation bug)."""
+
+
 # --- contour geometry -------------------------------------------------------
 
 class BranchUndefined(ValidationError):
@@ -64,12 +68,6 @@ class NotConverged(NumericalError):
 
 class NonIntegrable(NumericalError):
     """Combined exponent passes the overflow sentinel; amplitude diverges."""
-
-
-# --- isomorphisms ------------------------------------------------------------
-
-class PushforwardMismatch(PtContourError):
-    """Exact metric transport identity failed (implementation bug)."""
 
 
 # --- command line ------------------------------------------------------------

@@ -11,7 +11,8 @@ metric coefficients obey the exact rational identities
 
     kappa3' = kappa3 / beta^3        kappa1' = kappa1 / beta - 2 gamma
 
-and metric-weighted amplitudes are preserved identically.
+and metric-weighted amplitudes are preserved identically.  The map itself
+and the metric transport are exact and live in :mod:`ptcontour.opalg`.
 """
 from __future__ import annotations
 
@@ -21,68 +22,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import PushforwardMismatch
-from .metric import (MetricSpec, TaggedWaveFn, amplitude,
-                     default_momentum_grid, eigenbasis, metric_of)
-from .opalg import ContourParams
+from .metric import (TaggedWaveFn, amplitude, default_momentum_grid,
+                     eigenbasis)
+from .opalg import ContourParams, IsoMap, map_params, metric_of
+from .opalg import push_metric  # noqa: F401  (re-exported)
 from .spectral import Grid
-
-
-@dataclass(frozen=True)
-class IsoMap:
-    """Scale-and-shift map taking the source contour to the target."""
-
-    beta: Fraction
-    gamma: Fraction
-    source: ContourParams
-    target: ContourParams
-
-    def __post_init__(self):
-        if self.beta == 0:
-            raise ValueError("beta must be nonzero")
-
-    def compose(self, second: "IsoMap") -> "IsoMap":
-        """The map 'self then second'; targets must chain."""
-        if second.source != self.target:
-            raise ValueError("maps do not chain: target != second.source")
-        beta = self.beta * second.beta
-        gamma = second.gamma + self.gamma / second.beta
-        return IsoMap(beta=beta, gamma=gamma,
-                      source=self.source, target=second.target)
-
-
-def map_params(src: ContourParams, dst: ContourParams) -> IsoMap:
-    """Exact (beta, gamma) of the map from src onto dst.
-
-    In the invariants (lam, rho) = (a^2 c, b/c) of each contour,
-    beta = lam_dst / lam_src and gamma = rho_dst - rho_src lam_src / lam_dst.
-    """
-    lam_src, rho_src = src.invariants()
-    lam_dst, rho_dst = dst.invariants()
-    return IsoMap(beta=lam_dst / lam_src,
-                  gamma=rho_dst - rho_src * lam_src / lam_dst,
-                  source=src, target=dst)
-
-
-def push_metric(m: IsoMap, eta1: MetricSpec) -> MetricSpec:
-    """Transport metric coefficients along the map, verifying exactness.
-
-    The transported coefficients must coincide, as exact rationals, with the
-    metric computed directly on the target contour; a mismatch can only be
-    an implementation bug and raises :class:`PushforwardMismatch`.
-    """
-    if eta1 != metric_of(m.source):
-        raise ValueError("eta1 is not the metric of the map's source contour")
-    pushed = MetricSpec(
-        kappa3=eta1.kappa3 / m.beta ** 3,
-        kappa1=eta1.kappa1 / m.beta - 2 * m.gamma,
-    )
-    direct = metric_of(m.target)
-    if pushed != direct:
-        raise PushforwardMismatch(
-            f"transported ({pushed.kappa3}, {pushed.kappa1}) != "
-            f"direct ({direct.kappa3}, {direct.kappa1})")
-    return pushed
 
 
 def push_wavefn(m: IsoMap, u: TaggedWaveFn) -> TaggedWaveFn:

@@ -20,34 +20,13 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NonIntegrable
-from .opalg import ContourParams, dyson_coefficients, hermitian_form
+from .opalg import (ContourParams, MetricSpec, dyson_coefficients,
+                    hermitian_form)
+from .opalg import metric_of  # noqa: F401  (re-exported)
 from .spectral import Grid, eigensolve_hermitian, matrixize
 
 _EXP_OVERFLOW = 700.0
 _HALFWIDTH_SCALE = 4.0
-
-
-@dataclass(frozen=True)
-class MetricSpec:
-    """Exact exponent coefficients of eta = exp(kappa3 p^3 + kappa1 p)."""
-
-    kappa3: Fraction
-    kappa1: Fraction
-
-    def exponent_coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (Fraction(0), self.kappa1, Fraction(0), self.kappa3)
-
-
-def metric_of(params: ContourParams) -> MetricSpec:
-    """Metric coefficients kappa3 = -4/(3 (a^2 c)^3), kappa1 = -2 b/c.
-
-    These are twice the similarity-generator coefficients (f, g) of
-    :func:`dyson_coefficients` (eta is the square of the similarity
-    transformation), so the validity conditions are the same as for the
-    Hermitian equivalent.
-    """
-    f, g = dyson_coefficients(params)
-    return MetricSpec(kappa3=2 * f, kappa1=2 * g)
 
 
 def simpson_weights(n: int, h: float) -> np.ndarray:

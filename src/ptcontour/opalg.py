@@ -11,7 +11,8 @@ The module builds the transformed Hamiltonian of a parametrized contour
 canonical substitutions that reduce every valid parameter choice to the
 single anchor operator ``p^2 + 4x^4 - 2x``.  These read a contour only
 through its invariants ``a^2 c`` and ``b/c``, which
-:meth:`ContourParams.invariants` checks and returns as exact reals.
+:meth:`ContourParams.invariants` checks and returns as exact reals; so do
+the metrics and the maps between contours, the rest of the exact algebra.
 """
 from __future__ import annotations
 
@@ -22,7 +23,8 @@ from functools import cache
 from math import comb, factorial
 from typing import Mapping, NamedTuple
 
-from .errors import NonHermitianRho, NonTerminating, NotCanonical, NotHermitizable
+from .errors import (NonHermitianRho, NonTerminating, NotCanonical,
+                     NotHermitizable, PushforwardMismatch)
 from .rational import GaussianRational, I, ONE
 
 
@@ -332,6 +334,84 @@ def dyson_coefficients(params: ContourParams) -> tuple[Fraction, Fraction]:
     f p^3 + g p, in the invariants (lam, beta) = (a^2 c, b/c)."""
     lam, beta = params.invariants()
     return Fraction(-2, 3) / lam ** 3, -beta
+
+
+@dataclass(frozen=True)
+class MetricSpec:
+    """Exact exponent coefficients of eta = exp(kappa3 p^3 + kappa1 p)."""
+
+    kappa3: Fraction
+    kappa1: Fraction
+
+    def exponent_coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        return (Fraction(0), self.kappa1, Fraction(0), self.kappa3)
+
+
+def metric_of(params: ContourParams) -> MetricSpec:
+    """Metric coefficients kappa3 = -4/(3 (a^2 c)^3), kappa1 = -2 b/c.
+
+    These are twice the similarity-generator coefficients (f, g) of
+    :func:`dyson_coefficients` (eta is the square of the similarity
+    transformation), so the validity conditions are the same as for the
+    Hermitian equivalent.
+    """
+    f, g = dyson_coefficients(params)
+    return MetricSpec(kappa3=2 * f, kappa1=2 * g)
+
+
+@dataclass(frozen=True)
+class IsoMap:
+    """Scale-and-shift map taking the source contour to the target."""
+
+    beta: Fraction
+    gamma: Fraction
+    source: ContourParams
+    target: ContourParams
+
+    def __post_init__(self):
+        if self.beta == 0:
+            raise ValueError("beta must be nonzero")
+
+    def compose(self, second: "IsoMap") -> "IsoMap":
+        """The map 'self then second'; targets must chain."""
+        if second.source != self.target:
+            raise ValueError("maps do not chain: target != second.source")
+        beta = self.beta * second.beta
+        gamma = second.gamma + self.gamma / second.beta
+        return IsoMap(beta=beta, gamma=gamma,
+                      source=self.source, target=second.target)
+
+
+def map_params(src: ContourParams, dst: ContourParams) -> IsoMap:
+    """Exact (beta, gamma) of the map from src onto dst.
+
+    In the invariants (lam, rho) = (a^2 c, b/c) of each contour,
+    beta = lam_dst / lam_src and gamma = rho_dst - rho_src lam_src / lam_dst.
+    """
+    lam_src, rho_src = src.invariants()
+    lam_dst, rho_dst = dst.invariants()
+    return IsoMap(beta=lam_dst / lam_src,
+                  gamma=rho_dst - rho_src * lam_src / lam_dst,
+                  source=src, target=dst)
+
+
+def push_metric(m: IsoMap, eta1: MetricSpec) -> MetricSpec:
+    """Transport metric coefficients along the map, verifying exactness.
+
+    The transported coefficients must coincide, as exact rationals, with the
+    metric computed directly on the target contour; a mismatch can only be
+    an implementation bug and raises :class:`PushforwardMismatch`.
+    """
+    if eta1 != metric_of(m.source):
+        raise ValueError("eta1 is not the metric of the map's source contour")
+    pushed = MetricSpec(kappa3=eta1.kappa3 / m.beta ** 3,
+                        kappa1=eta1.kappa1 / m.beta - 2 * m.gamma)
+    direct = metric_of(m.target)
+    if pushed != direct:
+        raise PushforwardMismatch(
+            f"transported ({pushed.kappa3}, {pushed.kappa1}) != "
+            f"direct ({direct.kappa3}, {direct.kappa1})")
+    return pushed
 
 
 class HermitizeResult(NamedTuple):

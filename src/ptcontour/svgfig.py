@@ -19,8 +19,6 @@ def _fmt(v: float) -> str:
 
 class _Canvas:
     def __init__(self, width: int, height: int, title: str):
-        self.width = width
-        self.height = height
         self.parts = [
             '<?xml version="1.0" encoding="UTF-8"?>\n'
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -61,13 +59,8 @@ def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
         return [lo]
     raw = span / target
     mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1, 2, 5, 10):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
-    first = math.ceil(lo / step) * step
-    out = []
-    t = first
+    step = next(mult * mag for mult in (1, 2, 5, 10) if raw <= mult * mag)
+    out, t = [], math.ceil(lo / step) * step
     while t <= hi + 1e-9 * span:
         out.append(round(t, 12))
         t += step
@@ -82,10 +75,10 @@ def line_chart(path, series, title, xlabel, ylabel):
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
 
-    finite = [(np.asarray(xs, float), np.asarray(ys, float))
-              for _, xs, ys in series]
-    all_x = np.concatenate([xs for xs, _ in finite])
-    all_y = np.concatenate([ys[np.isfinite(ys)] for _, ys in finite])
+    series = [(label, np.asarray(xs, float), np.asarray(ys, float))
+              for label, xs, ys in series]
+    all_x = np.concatenate([xs for _, xs, _ in series])
+    all_y = np.concatenate([ys[np.isfinite(ys)] for _, _, ys in series])
     x_lo, x_hi = float(all_x.min()), float(all_x.max())
     y_lo, y_hi = float(all_y.min()), float(all_y.max())
     if y_hi == y_lo:
@@ -116,8 +109,6 @@ def line_chart(path, series, title, xlabel, ylabel):
     canvas.text(16, margin_t - 10, ylabel, size=11)
 
     for i, (label, xs, ys) in enumerate(series):
-        xs = np.asarray(xs, float)
-        ys = np.asarray(ys, float)
         keep = np.isfinite(ys)
         color = _COLORS[i % len(_COLORS)]
         canvas.polyline([sx(x) for x in xs[keep]], [sy(y) for y in ys[keep]],

@@ -22,18 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import ADJACENT, SQRT_IX, UPPER_PT
+from .catalog import TAG_PARAMS, TAGS
 from .errors import PtContourError
-from .metric import default_momentum_grid, eigenbasis, metric_of
-
-TAGS = ("upper_pt", "adjacent", "sqrt_ix")
-
-#: canonical contour parameters for each profile tag
-TAG_PARAMS = {
-    "upper_pt": UPPER_PT,
-    "adjacent": ADJACENT,
-    "sqrt_ix": SQRT_IX,
-}
+from .metric import default_momentum_grid, eigenbasis
+from .opalg import metric_of
 
 
 class OutOfDomain(PtContourError):

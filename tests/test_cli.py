@@ -1,4 +1,6 @@
 import json
+import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -447,20 +449,22 @@ def test_sweep_bad_config_rejected_before_any_work(tmp_path, capsys,
 _GOOD = "[good]\na = -2i\nb = 1\nc = 1\n\n"
 
 
-@pytest.mark.parametrize("text,second,code,error", [
+@pytest.mark.parametrize("text,second,code,error,solves", [
+    # refused while the sections are read: no section is solved
     pytest.param(_GOOD + "[bad]\na = 1+i\nb = 1\nc = 1\n", None, 2,
                  ("validation", "NotHermitizable",
-                  "a^2 c = 2i is not real for (1+i,1,1)"),
+                  "a^2 c = 2i is not real for (1+i,1,1)"), 0,
                  id="not-hermitizable"),
     pytest.param(_GOOD + "[later]\na = i\nb = 1\nc = 1\n",
                  NotConverged("drift too large"), 3,
-                 ("numerical", "NotConverged", "drift too large"),
+                 ("numerical", "NotConverged", "drift too large"), 2,
                  id="not-converged"),
 ])
 def test_sweep_rejected_after_a_solve_leaves_no_out(tmp_path, capsys,
                                                     monkeypatch, text, second,
-                                                    code, error):
-    # the second section fails once the first is solved: nothing is written
+                                                    code, error, solves):
+    # a later section fails, at the latest once the first is solved:
+    # nothing is written
     import ptcontour.cli as cli
     real, calls = cli._spectrum_payload, []
 
@@ -477,6 +481,7 @@ def test_sweep_rejected_after_a_solve_leaves_no_out(tmp_path, capsys,
                  "--grid-n", "401", "--out", str(out)]) == code
     err = json.loads(capsys.readouterr().out)["error"]
     assert (err["kind"], err["type"], err["message"]) == error
+    assert len(calls) == solves
     assert not out.exists()
 
 
@@ -498,6 +503,22 @@ def test_wkb_empty_range_rejected(tmp_path, capsys):
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "ValidationError"
     assert err["message"] == "--p-min and --p-max must differ, both are 1.0"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("p_min,p_max,shown", [
+    ("nan", "30", "nan and 30.0"),
+    ("-30", "1e400", "-30.0 and inf"),
+    ("-1e400", "30", "-inf and 30.0"),
+])
+def test_wkb_non_finite_range_rejected(tmp_path, capsys, p_min, p_max, shown):
+    # refused before np.linspace, which warns on an infinite end
+    out = tmp_path / "out"
+    assert main(["wkb", "--tag", "adjacent", f"--p-min={p_min}",
+                 f"--p-max={p_max}", "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert (err["type"], err["message"]) == (
+        "ValidationError", f"--p-min and --p-max must be finite, got {shown}")
     assert not out.exists()
 
 
@@ -624,6 +645,78 @@ def test_wedges_real_root_at_first_sample(tmp_path, capsys, b):
         == wedges_payload(tmp_path, capsys, "1+49.9i", "upper")
 
 
+_HOSTILE = ("nan", "3/0", "1e400", "", "-")
+_LITERALS = ("-2i", "i", "1", "0", "5", "1/3", "1+i")
+#: grid and point counts; no solve runs on more than 4001 points
+_SIZES = ("-1", "0", "1", "2", "15", "16", "17", "401", "801", "4001")
+
+
+def _fuzz_argv(rng, tmp_path):
+    """One random command line; most are refused before any solve."""
+    def lit(valid=_LITERALS, hostile=0.15):
+        return rng.choice(_HOSTILE if rng.random() < hostile else valid)
+
+    def levels():
+        return str(rng.randint(-1, 13))
+    command = rng.choice(["spectrum", "iso-check", "wedges", "wkb", "sweep"])
+    if command == "spectrum":
+        return [command, "--a", lit(), "--b", lit(), "--c", lit(),
+                "--levels", levels(), "--grid-n", rng.choice(_SIZES)]
+    if command == "iso-check":
+        return [command, "--src", f"{lit()},{lit()},{lit()}",
+                "--dst", f"{lit()},{lit()},{lit()}", "-k", levels(),
+                "--grid-n", rng.choice(_SIZES)]
+    if command == "wedges":
+        return [command, "--a", lit(), "--b", lit(), "--c", lit(),
+                "--branch", rng.choice(["principal", "upper", "lower"])]
+    if command == "wkb":
+        return [command, "--tag", rng.choice(["upper_pt", "adjacent"]),
+                f"--p-min={lit(('-30', '-1'), 0.3)}",
+                f"--p-max={lit(('30', '2'), 0.3)}",
+                "--n", rng.choice(_SIZES)]
+    config = tmp_path / "sweep.ini"
+    config.write_text("".join(
+        f"[s{i}]\na = {lit()}\nb = {lit()}\nc = {lit()}\n"
+        f"levels = {levels()}\ngrid_n = {rng.choice(_SIZES)}\n"
+        for i in range(rng.randint(1, 3))))
+    return [command, "--config", str(config)]
+
+
+def _no_constant(name):
+    raise AssertionError(f"{name} in JSON output")
+
+
+def test_error_contract_holds_under_random_inputs(tmp_path, capsys):
+    """Seeded random command lines: every run exits 0, 2, 3 or 4, a failed
+    run leaves no --out, and no output holds a NaN or an infinity."""
+    rng = random.Random(20121101)
+    codes = []
+    for i in range(100):
+        run = tmp_path / str(i)
+        run.mkdir()
+        argv, out = _fuzz_argv(rng, run), run / "out"
+        try:
+            code = main([*argv, "--formats",
+                         rng.choice(["json,csv,svg", "json,csv"] * 4 + ["xml"]),
+                         "--out", str(out)])
+        except SystemExit as exc:   # argparse refuses a malformed number
+            code = exc.code
+        codes.append(code)
+        assert code in (0, 2, 3, 4), argv
+        assert code == 0 or not out.exists(), argv
+        printed = capsys.readouterr().out
+        if printed:
+            json.loads(printed, parse_constant=_no_constant)
+        for path in out.iterdir() if out.exists() else ():
+            text = path.read_text()
+            if path.suffix == ".json":
+                json.loads(text, parse_constant=_no_constant)
+            else:
+                assert not re.search(r"\b(nan|inf)\b", text, re.I), path
+    # the draws reach success, validation and parse paths alike
+    assert {0, 2, 4} <= set(codes)
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "ptcontour.cli", "wedges", "--a", "-2i",
@@ -633,3 +726,54 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["pt_symmetric"] is True
+
+
+# --- import cost and the lazy package namespace ---------------------------------------
+
+def test_exact_core_loads_no_numpy(tmp_path):
+    # import ptcontour binds no module, algebra-verify is exact arithmetic
+    # only, and the exact modules import behind an empty package
+    code = "\n".join([
+        "import importlib, sys, types",
+        "def numeric():",
+        "    return sorted({'numpy', 'scipy'} & sys.modules.keys())",
+        "import ptcontour",
+        "assert not numeric(), numeric()",
+        "from ptcontour.cli import main",
+        f"assert main(['algebra-verify', '--out', {str(tmp_path)!r}]) == 0",
+        "assert not numeric(), numeric()",
+        "path = ptcontour.__path__",
+        "for name in [m for m in sys.modules if m.startswith('ptcontour')]:",
+        "    del sys.modules[name]",
+        "empty = sys.modules['ptcontour'] = types.ModuleType('ptcontour')",
+        "empty.__path__ = path",
+        "for name in ('rational', 'opalg', 'catalog', 'errors', 'jsonio',"
+        " 'reference'):",
+        "    importlib.import_module('ptcontour.' + name)",
+        "assert not numeric(), numeric()",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_package_namespace_resolves_each_name_where_it_is_defined():
+    import importlib
+    import inspect
+
+    import ptcontour
+    for name in ptcontour.__all__:
+        module = importlib.import_module(
+            f"ptcontour.{ptcontour._MODULE_OF[name]}")
+        value = getattr(ptcontour, name)
+        assert value is getattr(module, name), name
+        if inspect.isclass(value) or inspect.isfunction(value):
+            # the table names the defining module, not one that imports it
+            assert value.__module__ == module.__name__, name
+        assert name not in vars(ptcontour), f"{name} was cached"
+    assert set(ptcontour.__all__) <= set(dir(ptcontour))
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        ptcontour.nope
+    star: dict = {}
+    exec("from ptcontour import *", star)
+    assert star.keys() - {"__builtins__"} == set(ptcontour.__all__)

@@ -25,13 +25,17 @@ byte-identical and 1 otherwise.
     PYTHONPATH=src python tools/cli_snapshot.py --manifest FILE
 
 snapshots into a temporary directory and writes FILE: the sha256 of every
-file of the tree and the numpy, scipy and OpenBLAS versions that made it.
+file of the tree, the numpy, scipy and OpenBLAS versions that made it, and
+the kernel (such as ``SkylakeX``) that each bundled OpenBLAS picked for the
+CPU; ``OPENBLAS_CORETYPE`` overrides that pick, and other kernels round
+differently.
 ``tests/test_cli_snapshot.py`` holds the CLI to the committed manifest.
 """
 from __future__ import annotations
 
 import contextlib
 import csv
+import ctypes
 import hashlib
 import io
 import json
@@ -110,15 +114,40 @@ def digests(outdir: str | Path) -> dict[str, str]:
             for p in sorted(outdir.rglob("*")) if p.is_file()}
 
 
-def versions() -> dict[str, str]:
-    """The numpy and scipy versions and the OpenBLAS each was built with."""
+#: per package: its bundled OpenBLAS, as a glob under ``<package>.libs``,
+#: and the symbol that names the kernel the library picked at load time
+OPENBLAS_CORE = {
+    "numpy": ("libscipy_openblas64_*.so", "scipy_openblas_get_corename64_"),
+    "scipy": ("libscipy_openblas-*.so", "scipy_openblas_get_corename"),
+}
+
+
+def openblas_core(package) -> str | None:
+    """The OpenBLAS kernel of an imported package's bundled library, or
+    None if the package bundles no such library."""
+    name = package.__name__
+    pattern, symbol = OPENBLAS_CORE[name]
+    libs = sorted((Path(package.__file__).parents[1] / f"{name}.libs")
+                  .glob(pattern))
+    if not libs:
+        return None
+    corename = getattr(ctypes.CDLL(str(libs[0])), symbol)
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+def versions() -> dict[str, str | None]:
+    """The numpy and scipy versions, the OpenBLAS each was built with, and
+    the kernel each OpenBLAS runs."""
     import numpy
     import scipy
     import scipy.__config__
     return {"numpy": numpy.__version__, "scipy": scipy.__version__,
             **{f"{mod.__name__.split('.')[0]}-openblas":
                mod.CONFIG["Build Dependencies"]["lapack"]["version"]
-               for mod in (numpy.__config__, scipy.__config__)}}
+               for mod in (numpy.__config__, scipy.__config__)},
+            **{f"{pkg.__name__}-openblas-core": openblas_core(pkg)
+               for pkg in (numpy, scipy)}}
 
 
 def manifest() -> dict:
