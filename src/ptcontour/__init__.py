@@ -21,7 +21,7 @@ _EXPORTS = {
     "opalg": "ANCHOR Branch ContourParams IsoMap MetricSpec OperatorExpr "
              "adjoint bch_conjugate build_h1 canonical_swap commutator "
              "dyson_coefficients hermitian_form hermitize is_hermitian "
-             "map_params metric_of multiply push_metric substitute_linear",
+             "map_params metric_of multiply push_metric",
     "catalog": "ADJACENT LOWER_PT LOWER_PT_B5 SQRT_IX STANDARD_FIVE TAGS "
                "TAG_PARAMS UPPER_PT",
     "contour": "WedgeReport endpoint_angles is_pt_symmetric polyline sample "

@@ -366,7 +366,7 @@ def _cmd_sweep(args):
 # parser plumbing
 # ---------------------------------------------------------------------------
 
-_VALUE_FLAGS = ("--a", "--b", "--c", "--src", "--dst")
+_VALUE_FLAGS = ("--a", "--b", "--c", "--src", "--dst", "--p-min", "--p-max")
 
 
 def _absorb_values(argv: list[str]) -> list[str]:

@@ -32,10 +32,6 @@ class NonHermitianRho(ValidationError):
     """Im(b/c) != 0: the similarity transformation would not be Hermitian."""
 
 
-class NotCanonical(ValidationError):
-    """Substitution images do not satisfy [x', p'] = i."""
-
-
 class PushforwardMismatch(PtContourError):
     """Exact metric transport identity failed (implementation bug)."""
 

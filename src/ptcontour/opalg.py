@@ -7,9 +7,9 @@ relation, which makes operator equality an exact dictionary comparison.
 
 The module builds the transformed Hamiltonian of a parametrized contour
 ``z(x) = a*sqrt(b + i c x)`` applied to ``p^2 - x^4``, conjugates it with
-``exp(f p^3 + g p)`` into its Hermitian equivalent, and carries out the
-canonical substitutions that reduce every valid parameter choice to the
-single anchor operator ``p^2 + 4x^4 - 2x``.  These read a contour only
+``exp(f p^3 + g p)`` into its Hermitian equivalent, and applies the
+canonical swap that reduces every valid parameter choice to the single
+anchor operator ``p^2 + 4x^4 - 2x``.  These read a contour only
 through its invariants ``a^2 c`` and ``b/c``, which
 :meth:`ContourParams.invariants` checks and returns as exact reals; so do
 the metrics and the maps between contours, the rest of the exact algebra.
@@ -23,8 +23,8 @@ from functools import cache
 from math import comb, factorial
 from typing import Mapping, NamedTuple
 
-from .errors import (NonHermitianRho, NonTerminating, NotCanonical,
-                     NotHermitizable, PushforwardMismatch)
+from .errors import (NonHermitianRho, NonTerminating, NotHermitizable,
+                     PushforwardMismatch)
 from .rational import GaussianRational, I, ONE
 
 
@@ -449,29 +449,6 @@ def hermitian_form(params: ContourParams) -> OperatorExpr:
                          (0, 4): 4 / lam ** 4})
 
 
-def substitute_linear(a: OperatorExpr, x_image: OperatorExpr,
-                      p_image: OperatorExpr) -> OperatorExpr:
-    """Homomorphic substitution x -> x_image, p -> p_image.
-
-    The images must form a canonical pair ([x', p'] = i exactly); otherwise
-    the substitution would not be an algebra homomorphism.
-    """
-    if commutator(x_image, p_image) != OperatorExpr.monomial(0, 0, I):
-        raise NotCanonical("substitution images do not satisfy [x', p'] = i")
-    x_pow = [OperatorExpr.one()]
-    p_pow = [OperatorExpr.one()]
-    max_m = max((m for m, _ in a._terms), default=0)
-    max_n = max((n for _, n in a._terms), default=0)
-    for _ in range(max_m):
-        x_pow.append(multiply(x_pow[-1], x_image))
-    for _ in range(max_n):
-        p_pow.append(multiply(p_pow[-1], p_image))
-    out = OperatorExpr.zero()
-    for (m, n), c in a._terms.items():
-        out = out + multiply(x_pow[m], p_pow[n]).scale(c)
-    return out
-
-
 #: the Hermitian anchor p^2 + 4x^4 - 2x every valid contour reduces to
 ANCHOR = OperatorExpr({(0, 2): ONE, (4, 0): GaussianRational(4),
                        (1, 0): GaussianRational(-2)})
@@ -487,12 +464,15 @@ def canonical_swap(h: OperatorExpr, params: ContourParams) -> OperatorExpr:
     (x, p) -> (2x, p/2).  Returns the image, which is ``p^2 + 4x^4 - 2x``
     for the output of :func:`hermitize`, and raises ``ValueError`` otherwise.
     """
-    a2c = params.a2c
-    mapped = substitute_linear(
-        h,
-        OperatorExpr.monomial(0, 1, ONE / a2c),
-        OperatorExpr.monomial(1, 0, -a2c),
-    )
+    lam = params.a2c
+    out: dict[tuple[int, int], GaussianRational] = {}
+    for (m, n), c in h._terms.items():
+        # c x^m p^n -> c (p/lam)^m (-lam x)^n = c lam^-m (-lam)^n p^m x^n,
+        # reordered as in adjoint
+        _add_products(out,
+                      OperatorExpr.monomial(0, m, c * lam ** -m * (-lam) ** n),
+                      OperatorExpr.monomial(n, 0))
+    mapped = OperatorExpr(out)
     if mapped != ANCHOR:
         raise ValueError(f"canonical swap missed the anchor: {mapped!r}")
     return mapped

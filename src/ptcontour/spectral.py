@@ -21,8 +21,8 @@ its vector with a few O(n u^2) ``?gbsv`` solves.  Both drivers are called as
 They come from scipy's compiled LAPACK module ``_flapack``, loaded from its
 file at the first solve, so that no command imports ``scipy.linalg`` (and
 with it ``scipy.sparse``) and commands which solve nothing load no LAPACK at
-all; ``get_lapack_funcs`` supplies a driver if that file or the driver is
-missing.  Only :func:`eigensolve_general` imports ``scipy.linalg``.
+all.  Only :func:`eigensolve_general`, and ``get_lapack_funcs`` when that
+file or the driver is missing, import ``scipy.linalg``.
 """
 from __future__ import annotations
 

@@ -46,7 +46,7 @@ def eval_wkb(tag: str, p) -> np.ndarray | float:
     _check(tag)
     ps = _as_array(p)
     pc = ps.astype(complex)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(all="ignore"):
         if tag == "upper_pt":
             pref = np.sqrt(2.0 * (2.0 * pc ** 3 - 1.0)) + 2.0 * pc ** 1.5
             if np.any(pref == 0):
@@ -63,7 +63,7 @@ def eval_wkb(tag: str, p) -> np.ndarray | float:
                 - np.sqrt(4.0 * pc ** 6 + 2.0 * pc ** 3).real / 3.0
             if tag == "adjacent":
                 arg = arg + ps
-    out = log_pref + arg
+        out = log_pref + arg
     if not np.isfinite(out).all():
         raise OutOfDomain("non-finite intermediate in profile evaluation")
     return out if np.ndim(p) else float(out[0])

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from ptcontour.catalog import TAGS
 from ptcontour.cli import main, parse_complex, parse_contour
 from ptcontour.errors import NotConverged, ParseError, PushforwardMismatch
 from ptcontour.opalg import OperatorExpr
@@ -522,20 +523,37 @@ def test_wkb_non_finite_range_rejected(tmp_path, capsys, p_min, p_max, shown):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tag", TAGS)
+def test_wkb_overflowing_range_rejected_quietly(tmp_path, capsys, tag):
+    # a finite end whose profile overflows is refused, with no numpy warning
+    out = tmp_path / "out"
+    assert main(["wkb", "--tag", tag, "--p-min=0", "--p-max=1e103",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    err = json.loads(captured.out)["error"]
+    assert (err["type"], err["message"]) == (
+        "OutOfDomain", "non-finite intermediate in profile evaluation")
+    assert captured.err == ""
+    assert not out.exists()
+
+
 def test_wkb_reversed_range_runs_backwards(tmp_path, capsys):
-    # p runs from --p-min to --p-max, so a reversed range reverses the axis
+    # p runs from --p-min to --p-max, so a reversed range reverses the axis;
+    # a negative end in exponent form is read as a value, not as a flag
+    ranges = (("-5", "5"), ("-1e1", "1e1"))
     ends = {}
-    for name, lo, hi in (("fwd", "-5", "5"), ("rev", "5", "-5")):
-        out = tmp_path / name
+    for lo, hi in ranges + tuple((hi, lo) for lo, hi in ranges):
+        out = tmp_path / f"{lo}_{hi}"
         assert main(["wkb", "--tag", "adjacent", "--p-min", lo, "--p-max", hi,
                      "--n", "11", "--out", str(out)]) == 0
-        ends[name] = json.loads(capsys.readouterr().out)
+        ends[lo, hi] = json.loads(capsys.readouterr().out)
         ps = [float(row.split(",")[0]) for row
               in (out / "wkb_adjacent.csv").read_text().splitlines()[1:]]
         assert ps[0] == float(lo) and ps[-1] == float(hi)
         assert (out / "wkb_adjacent.svg").is_file()
-    for key in ("log_magnitude_at_ends", "weighted_at_ends"):
-        assert ends["rev"][key] == ends["fwd"][key][::-1]
+    for lo, hi in ranges:
+        for key in ("log_magnitude_at_ends", "weighted_at_ends"):
+            assert ends[hi, lo][key] == ends[lo, hi][key][::-1]
 
 
 def test_exit_code_numerical_error(tmp_path, capsys, monkeypatch):

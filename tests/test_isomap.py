@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -11,10 +11,10 @@ from ptcontour.isomap import (IsoMap, map_params, push_metric, push_wavefn,
                               verify_isometry)
 from ptcontour.metric import (amplitude, default_momentum_grid, eigenbasis,
                               metric_of)
-from ptcontour.opalg import hermitize
-from ptcontour.rational import GaussianRational as Q
+from ptcontour.opalg import hermitian_form, hermitize
+from ptcontour.rational import GaussianRational as Q, I
 from ptcontour.reference import REFERENCE_LEVELS
-from ptcontour.spectral import eigensolve_hermitian, matrixize
+from ptcontour.spectral import _STENCILS, eigensolve_hermitian, matrixize
 
 
 # --- map parameters ---------------------------------------------------------
@@ -175,3 +175,46 @@ def test_spectrum_invariance_across_contours():
         got = eigensolve_hermitian(matrixize(hermitize(params).h, grid),
                                    5).real_parts()
         assert (np.abs(got - ref) / ref).max() < 1e-5
+
+
+# --- exact discrete transport ---------------------------------------------------
+
+def rational_band(params, n):
+    """Band of hermitian_form(params) on the momentum grid over
+    [-4|lam|, 4|lam|] with exact rational points, laid out and discretized
+    as matrixize does it: ``band[u + i - j][j] = A[i, j]``."""
+    half = 4 * abs(params.invariants()[0])
+    step = Fraction(2 * half, n - 1)
+    pts = [-half + j * step for j in range(n)]
+    terms = hermitian_form(params).terms
+    u = max(len(_STENCILS[m][1]) // 2 for m, _ in terms)
+    band = [[Q(0)] * n for _ in range(2 * u + 1)]
+    for (m, k), c in terms.items():
+        # (i d/dp)^m p^k scales each column by its point
+        denom, weights = _STENCILS[m]
+        scale = c * I ** m / (denom * step ** m)
+        for off, w in enumerate(weights, start=-(len(weights) // 2)):
+            for j in range(max(off, 0), n + min(off, 0)):
+                band[u - off][j] += scale * w * pts[j] ** k
+    return band
+
+
+def test_rational_band_is_the_band_matrixize_builds():
+    for params in STANDARD_FIVE:
+        exact = np.array([[complex(v) for v in row]
+                          for row in rational_band(params, 21)])
+        got = matrixize(hermitian_form(params),
+                        default_momentum_grid(params, 21))
+        np.testing.assert_allclose(got, exact, rtol=1e-13,
+                                   atol=1e-13 * np.abs(exact).max())
+
+
+def test_discrete_transport_is_exact():
+    # on grids scaled by |beta|, the target's band is the source's band,
+    # mirrored when beta < 0: the two discrete eigenproblems are one problem
+    bands = {params: rational_band(params, 21) for params in STANDARD_FIVE}
+    for src, dst in product(STANDARD_FIVE, repeat=2):
+        pushed = bands[src]
+        if map_params(src, dst).beta < 0:
+            pushed = [row[::-1] for row in pushed[::-1]]
+        assert bands[dst] == pushed, (src.label(), dst.label())

@@ -12,15 +12,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ptcontour.errors import (NonHermitianRho, NonTerminating, NotCanonical,
-                              NotHermitizable)
+from ptcontour.errors import NonHermitianRho, NonTerminating, NotHermitizable
 from ptcontour.catalog import (ADJACENT, LOWER_PT, LOWER_PT_B5, SQRT_IX,
                                STANDARD_FIVE, UPPER_PT)
 from ptcontour.opalg import (ANCHOR, ContourParams,
                              OperatorExpr, adjoint, bch_conjugate, build_h1,
                              _reorder_p_x, canonical_swap, commutator,
                              dyson_coefficients, hermitian_form, hermitize,
-                             is_hermitian, multiply, substitute_linear)
+                             is_hermitian, multiply)
 from ptcontour.rational import GaussianRational as Q
 
 X = OperatorExpr.x()
@@ -346,33 +345,7 @@ def test_hermitize_rejects_complex_b_over_c():
         hermitize(ContourParams(Q(0, -2), Q(0, 1), Q(1)))  # b/c = i
 
 
-# --- canonical substitutions -----------------------------------------------------
-
-def test_substitute_identity():
-    rng = random.Random(11)
-    for _ in range(10):
-        a = random_operator(rng)
-        assert substitute_linear(a, X, P) == a
-
-
-def test_substitute_swap_to_anchor():
-    # x -> -p, p -> x applied to 4p^4 - 2p + x^2
-    h = op({(0, 4): 4, (0, 1): -2, (2, 0): 1})
-    got = substitute_linear(h, OperatorExpr.monomial(0, 1, -1), X)
-    assert got == ANCHOR
-
-
-def test_substitute_accepts_canonical_pair():
-    x_img = OperatorExpr.monomial(0, 1, 2)                  # 2p
-    p_img = OperatorExpr.monomial(1, 0, Fraction(-1, 2))    # -x/2
-    assert commutator(x_img, p_img) == op({(0, 0): (0, 1)})
-    substitute_linear(ANCHOR, x_img, p_img)                 # must not raise
-
-
-def test_substitute_rejects_non_canonical():
-    with pytest.raises(NotCanonical):
-        substitute_linear(ANCHOR, X, OperatorExpr.monomial(0, 1, 2))
-
+# --- canonical swap ----------------------------------------------------------------
 
 def test_canonical_swap_all_contours_reach_anchor():
     # the composite substitution + dilation lands on p^2 + 4x^4 - 2x for the
@@ -385,6 +358,7 @@ def test_canonical_swap_parity_flag_on_parity_image():
     # the mirrored operator swaps onto the parity image p^2 + 4x^4 + 2x,
     # which is not the anchor, so the swap refuses it
     h = hermitize(UPPER_PT).h
-    mirrored = substitute_linear(h, -1 * X, -1 * P)   # x -> -x, p -> -p
+    mirrored = OperatorExpr({(m, n): c * (-1) ** (m + n)   # x -> -x, p -> -p
+                             for (m, n), c in h.terms.items()})
     with pytest.raises(ValueError, match=r"missed the anchor: p\^2 \+ 2\*x"):
         canonical_swap(mirrored, UPPER_PT)
