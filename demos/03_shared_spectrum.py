@@ -5,15 +5,26 @@ The anchor is diagonalized by brute force in position space on three grids
 with Richardson extrapolation (the package's reference run).  Each contour's
 Hermitian equivalent is then diagonalized independently in momentum space;
 the five spectra agree with the anchor to better than 1e-5 relative,
-including the shifted-parameter contour whose generator differs.
+including the shifted-parameter contour whose generator differs.  Where
+both endpoints lie in one decay family, the non-Hermitian transformed
+operator is also diagonalized directly, by dense ``eig`` of its band.
 """
 import numpy as np
+import scipy.linalg as sla
 
 from ptcontour import (ADJACENT, LOWER_PT, REFERENCE_LEVELS, STANDARD_FIVE,
                        Grid, build_h1, default_momentum_grid,
-                       eigensolve_general, eigensolve_hermitian, hermitize,
-                       matrixize, oracle_spectrum, wedge_report)
+                       eigensolve_hermitian, hermitize, matrixize,
+                       oracle_spectrum, wedge_report)
 from ptcontour.contour import direct_diagonalization_allowed
+
+
+def band_to_dense(ab):
+    """The n x n matrix of a band with ``ab[u + i - j, j] = A[i, j]``."""
+    u, n = ab.shape[0] // 2, ab.shape[1]
+    return sum(np.diag(ab[u - off, max(off, 0):n + min(off, 0)], off)
+               for off in range(-u, u + 1))
+
 
 levels = oracle_spectrum(5)
 print("anchor spectrum (Richardson over n = 801/1201/1601):")
@@ -41,8 +52,9 @@ for params in (LOWER_PT, ADJACENT):
               "decays at both ends; use the metric route")
         continue
     grid = Grid("momentum", -16.0, 16.0, 801)
-    res = eigensolve_general(matrixize(build_h1(params), grid), 5, grid=grid)
-    max_imag = max(abs(e.imag) for e in res.eigenvalues)
-    rel = (np.abs(res.real_parts() - levels) / levels).max()
+    vals = sla.eig(band_to_dense(matrixize(build_h1(params), grid)))[0]
+    vals = vals[np.argsort(vals.real, kind="stable")[:5]]
+    max_imag = np.abs(vals.imag).max()
+    rel = (np.abs(vals.real - levels) / levels).max()
     print(f"  {params.label():12s} max |Im E| = {max_imag:.1e}, "
           f"max rel dev vs anchor = {rel:.1e}")

@@ -26,8 +26,8 @@ _EXPORTS = {
                "TAG_PARAMS UPPER_PT",
     "contour": "WedgeReport endpoint_angles is_pt_symmetric polyline sample "
                "wedge_report",
-    "spectral": "Grid SpectrumResult eigensolve_general eigensolve_hermitian "
-                "matrixize oracle_spectrum position_grid",
+    "spectral": "Grid SpectrumResult eigensolve_hermitian matrixize "
+                "oracle_spectrum position_grid",
     "metric": "TaggedWaveFn amplitude default_momentum_grid eigenbasis "
               "exact_hermite_norm hermite_demo simpson_weights",
     "isomap": "IsometryReport push_wavefn verify_isometry",

@@ -20,6 +20,9 @@ from .opalg import Branch, ContourParams
 _WEDGE_OPENING = math.pi / 3
 _PT_TOL = 1e-10
 _STOKES_TOL = 1e-9
+#: bound on the rounding of Im(b + icx) = Im b + Re(c) x, relative to
+#: |Im b| + |Re(c) x|: two roundings of at most 2^-53 each, with room
+_ROUNDING = 4e-16
 
 
 @dataclass(frozen=True)
@@ -36,19 +39,23 @@ class WedgeReport:
     pt_symmetric: bool
 
 
-def _pick_root(w: complex, branch: Branch,
+def _pick_root(w: complex, tol: float, branch: Branch,
                prev: complex | None) -> complex | None:
     """Choose a square root of w under the branch policy.
 
-    None when the root is real and there is no previous sample to continue.
+    The root is real where w is real and not negative, that is where |Im w|
+    is within ``tol``, its rounding; elsewhere the imaginary part of the root
+    has the sign of Im w.  None when the root is real and there is no
+    previous sample to continue.
     """
     r = cmath.sqrt(w)
     if branch is Branch.PRINCIPAL:
         return r
-    if abs(r.imag) > 1e-14 * abs(r):
+    if abs(w.imag) > tol or w.real < 0:
+        # r.imag has the sign of w.imag, a signed zero too when w.real < 0
         want_up = branch is Branch.UPPER
-        return r if (r.imag > 0) == want_up else -r
-    # root (numerically) real: the imaginary-part rule is ambiguous
+        return r if (math.copysign(1.0, w.imag) > 0) == want_up else -r
+    # root real to within rounding: the imaginary-part rule is ambiguous
     if r == 0:
         return r
     if prev is None:
@@ -66,16 +73,19 @@ def sample(params: ContourParams, x_values) -> np.ndarray:
     continue backwards from the first sample that decides the branch.
     """
     a, b, c = map(complex, (params.a, params.b, params.c))
-    ws = [b + 1j * c * float(x) for x in x_values]
+    xs = [float(x) for x in x_values]
+    ws = [b + 1j * c * x for x in xs]
+    tols = [_ROUNDING * (abs(b.imag) + abs(c.real * x)) for x in xs]
     roots = []
-    for w in ws:
-        roots.append(_pick_root(w, params.branch, roots[-1] if roots else None))
+    for w, tol in zip(ws, tols):
+        roots.append(_pick_root(w, tol, params.branch,
+                                roots[-1] if roots else None))
     lead = next((i for i, r in enumerate(roots) if r is not None), len(roots))
     if ws and lead == len(ws):
         raise BranchUndefined(
             f"root of {ws[0]} is real and no sample decides the branch")
     for i in reversed(range(lead)):
-        roots[i] = _pick_root(ws[i], params.branch, roots[i + 1])
+        roots[i] = _pick_root(ws[i], tols[i], params.branch, roots[i + 1])
     return np.array([a * r for r in roots], dtype=complex)
 
 

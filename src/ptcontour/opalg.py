@@ -316,12 +316,12 @@ def bch_conjugate(s: OperatorExpr, a: OperatorExpr, max_depth: int = 16) -> Oper
 def build_h1(params: ContourParams) -> OperatorExpr:
     """Transformed Hamiltonian of p^2 - x^4 on the contour z = a*sqrt(b+icx).
 
-    With lam = a^2 c and beta = b/c it is
-    ``-(4/lam)(beta+ix) p^2 - (2/lam) p - lam^2 (beta+ix)^2``, expanded into
+    With lam = a^2 c and rho = b/c it is
+    ``-(4/lam)(rho+ix) p^2 - (2/lam) p - lam^2 (rho+ix)^2``, expanded into
     canonical order; it exists for every contour, admissible or not.
     """
-    lam, beta = params.a2c, params.b_over_c
-    w = OperatorExpr({(0, 0): beta, (1, 0): I})           # beta + i x
+    lam, rho = params.a2c, params.b_over_c
+    w = OperatorExpr({(0, 0): rho, (1, 0): I})            # rho + i x
     p2 = OperatorExpr.monomial(0, 2)
     term1 = multiply(w, p2).scale(-4 / lam)
     term2 = OperatorExpr.monomial(0, 1, -2 / lam)
@@ -330,10 +330,10 @@ def build_h1(params: ContourParams) -> OperatorExpr:
 
 
 def dyson_coefficients(params: ContourParams) -> tuple[Fraction, Fraction]:
-    """Coefficients f = -2/(3 lam^3), g = -beta of the similarity generator
-    f p^3 + g p, in the invariants (lam, beta) = (a^2 c, b/c)."""
-    lam, beta = params.invariants()
-    return Fraction(-2, 3) / lam ** 3, -beta
+    """Coefficients f = -2/(3 lam^3), g = -rho of the similarity generator
+    f p^3 + g p, in the invariants (lam, rho) = (a^2 c, b/c)."""
+    lam, rho = params.invariants()
+    return Fraction(-2, 3) / lam ** 3, -rho
 
 
 @dataclass(frozen=True)

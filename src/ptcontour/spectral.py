@@ -1,4 +1,4 @@
-"""Grid discretization and banded eigensolvers for operator expressions.
+"""Grid discretization and the banded eigensolver for operator expressions.
 
 Position representation: x acts by multiplication and p = -i d/dx.
 Momentum representation: p is diagonal and x = +i d/dp, matching the
@@ -21,8 +21,8 @@ its vector with a few O(n u^2) ``?gbsv`` solves.  Both drivers are called as
 They come from scipy's compiled LAPACK module ``_flapack``, loaded from its
 file at the first solve, so that no command imports ``scipy.linalg`` (and
 with it ``scipy.sparse``) and commands which solve nothing load no LAPACK at
-all.  Only :func:`eigensolve_general`, and ``get_lapack_funcs`` when that
-file or the driver is missing, import ``scipy.linalg``.
+all.  Only ``get_lapack_funcs``, when that file or the driver is missing,
+imports ``scipy.linalg``.
 """
 from __future__ import annotations
 
@@ -129,11 +129,6 @@ def _band_matmul(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
         lo, hi = max(off, 0), n + min(off, 0)       # columns j = i + off
         out[lo - off:hi - off] += ab[u - off, lo:hi, None] * x[lo:hi]
     return out
-
-
-def band_to_dense(ab: np.ndarray) -> np.ndarray:
-    """The n x n matrix of a band in ``solve_banded`` layout."""
-    return _band_matmul(ab, np.eye(ab.shape[1]))
 
 
 @dataclass(frozen=True)
@@ -329,41 +324,24 @@ def check_levels(k: int) -> None:
         raise ValueError(f"at most {_MAX_LEVELS} eigenpairs are retained")
 
 
-def _result(ab, vals, vecs, method, grid) -> SpectrumResult:
-    """Package eigenpairs with ||A v - lambda v|| / ||v|| per column v."""
-    band = ab if ab.imag.any() else ab.real     # no complex work for a real A
-    norms = (np.linalg.norm(_band_matmul(band, vecs) - vecs * vals, axis=0)
-             / np.linalg.norm(vecs, axis=0))
-    return SpectrumResult(tuple(complex(v) for v in vals),
-                          tuple(float(r) for r in norms), grid, method, vecs)
-
-
 def eigensolve_hermitian(ab: np.ndarray, k: int,
                          grid: Grid | None = None) -> SpectrumResult:
-    """Lowest k eigenpairs of a Hermitian band, with residuals.
+    """Lowest k eigenpairs of a Hermitian band, with the residual
+    ||A v - lambda v|| / ||v|| of each.
 
     Raises :class:`NotConverged` if a residual exceeds the bound.
     """
     check_levels(k)
-    result = _result(ab, *hermitian_eigenpairs(ab, k), grid)
-    worst, scale = max(result.residual_norms), np.abs(ab).max()
+    vals, vecs, method = hermitian_eigenpairs(ab, k)
+    band = ab if ab.imag.any() else ab.real     # no complex work for a real A
+    norms = (np.linalg.norm(_band_matmul(band, vecs) - vecs * vals, axis=0)
+             / np.linalg.norm(vecs, axis=0))
+    worst, scale = norms.max(), np.abs(ab).max()
     if worst > _RESIDUAL_BOUND * scale:
         raise NotConverged(f"eigenpair residual {worst:.3e} exceeds "
                            f"{_RESIDUAL_BOUND} * max|A| = {scale:.3e}")
-    return result
-
-
-def eigensolve_general(ab: np.ndarray, k: int,
-                       grid: Grid | None = None) -> SpectrumResult:
-    """k eigenpairs of least real part of a general band, by dense ``eig``."""
-    import scipy.linalg as sla
-    check_levels(k)
-    try:
-        vals, vecs = sla.eig(band_to_dense(ab))
-    except np.linalg.LinAlgError as exc:   # pragma: no cover - hardware path
-        raise NotConverged(str(exc)) from exc
-    order = np.argsort(vals.real, kind="stable")[:k]
-    return _result(ab, vals[order], vecs[:, order], "hessenberg-qr", grid)
+    return SpectrumResult(tuple(complex(v) for v in vals),
+                          tuple(float(r) for r in norms), grid, method, vecs)
 
 
 # ---------------------------------------------------------------------------

@@ -616,19 +616,6 @@ def test_exit_code_lapack_failure(tmp_path, capsys, monkeypatch, driver):
                  ("OnStokesLine",
                   "endpoint angle 0.0 lies on a wedge boundary"),
                  id="stokes-line"),
-    # |b/c| = 1e17: on x in [-50, 50] the root is real to 1e-14 at every
-    # sample of the PT-symmetry test, so none decides the upper branch
-    pytest.param(["--a", "1", "--b", "100000000000000000", "--c", "1",
-                  "--branch", "upper"],
-                 ("BranchUndefined", "root of (1e+17-50j) is real and no "
-                  "sample decides the branch"), id="branch-undefined"),
-    # |b/c| = 1e15: a sample of the PT-symmetry test decides the branch, but
-    # on the polyline's x in [-6, 6] none does
-    pytest.param(["--a", "1", "--b", "1000000000000000", "--c", "1",
-                  "--branch", "upper"],
-                 ("BranchUndefined", "root of (1000000000000000-6j) is real "
-                  "and no sample decides the branch"),
-                 id="branch-undefined-on-polyline"),
 ])
 def test_exit_code_wedge_geometry(tmp_path, capsys, argv, error):
     # rejected before any work: no output directory is made
@@ -645,6 +632,18 @@ def wedges_payload(tmp_path, capsys, b, branch):
     payload = json.loads(capsys.readouterr().out)
     del payload["params"]
     return payload
+
+
+@pytest.mark.parametrize("branch", ["upper", "lower"])
+@pytest.mark.parametrize("b", ["1000000000000000", "100000000000000000"],
+                         ids=["b=1e15", "b=1e17"])
+def test_wedges_far_real_offset_decides_the_branch(tmp_path, capsys, b,
+                                                   branch):
+    # |b/c| >= 1e15: the root is real to 1e-14 at every sample of the
+    # polyline (x in [-6, 6]) and of the PT-symmetry test (x in [-50, 50]),
+    # but Im(b + icx) = x is exact, so each sample but x = 0 decides
+    payload = wedges_payload(tmp_path, capsys, b, branch)
+    assert payload == wedges_payload(tmp_path, capsys, "1", branch)
 
 
 @pytest.mark.parametrize("branch", ["principal", "upper"])

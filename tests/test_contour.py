@@ -66,6 +66,14 @@ def test_sample_first_point_ambiguous_raises():
         sample(with_branch(ADJACENT, Branch.UPPER), [0.0])
 
 
+@pytest.mark.parametrize("branch,root", [(Branch.UPPER, 1j),
+                                         (Branch.LOWER, -1j)],
+                         ids=["upper", "lower"])
+def test_sample_negative_real_argument_decides_the_branch(branch, root):
+    # b + icx = -1 is real, but its roots +-i are not: one sample decides
+    assert sample(ContourParams(Q(1), Q(-1), Q(1), branch), [0.0])[0] == root
+
+
 def test_sample_leading_real_root_continues_backwards():
     # b + icx = 1 at x = -50 only; that root continues the samples after it
     params = ContourParams(Q(1), Q(1, 50), Q(1), Branch.UPPER)

@@ -3,7 +3,8 @@ ones byte for byte.
 
 Demos 06-08 write into the ``output/`` directory next to the script, so each
 runs from a copy in a temporary directory and its figures are compared with
-``demos/output/``.  Demo 03 (dense eigensolves, several seconds) is left out.
+``demos/output/``.  Demo 03 is left out: its own dense ``eig`` of the
+transformed operator takes several seconds.
 """
 import os
 import shutil

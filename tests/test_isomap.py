@@ -15,6 +15,7 @@ from ptcontour.opalg import hermitian_form, hermitize
 from ptcontour.rational import GaussianRational as Q, I
 from ptcontour.reference import REFERENCE_LEVELS
 from ptcontour.spectral import _STENCILS, eigensolve_hermitian, matrixize
+from test_random_contours import random_contours
 
 
 # --- map parameters ---------------------------------------------------------
@@ -211,9 +212,13 @@ def test_rational_band_is_the_band_matrixize_builds():
 
 def test_discrete_transport_is_exact():
     # on grids scaled by |beta|, the target's band is the source's band,
-    # mirrored when beta < 0: the two discrete eigenproblems are one problem
-    bands = {params: rational_band(params, 21) for params in STANDARD_FIVE}
-    for src, dst in product(STANDARD_FIVE, repeat=2):
+    # mirrored when beta < 0: the two discrete eigenproblems are one problem;
+    # every ordered catalog pair, and consecutive pairs of random contours
+    draws = random_contours(40)
+    pairs = [*product(STANDARD_FIVE, repeat=2), *zip(draws, draws[1:])]
+    bands = {params: rational_band(params, 21)
+             for params in {*STANDARD_FIVE, *draws}}
+    for src, dst in pairs:
         pushed = bands[src]
         if map_params(src, dst).beta < 0:
             pushed = [row[::-1] for row in pushed[::-1]]

@@ -21,9 +21,8 @@ from ptcontour.metric import default_momentum_grid, eigenbasis, metric_of
 from ptcontour.opalg import (ANCHOR, ContourParams, canonical_swap,
                              hermitian_form, hermitize, is_hermitian)
 from ptcontour.rational import GaussianRational as Q
-from ptcontour.spectral import (Grid, band_to_dense, eigensolve_hermitian,
-                                matrixize)
-from test_spectral import assert_banded_levels, banded_levels
+from ptcontour.spectral import Grid, eigensolve_hermitian, matrixize
+from test_spectral import assert_banded_levels, band_to_dense, banded_levels
 
 _HALVES = [Fraction(k, 2) for k in range(-4, 5)]     # -2, -3/2, ..., 2
 

@@ -1,9 +1,11 @@
+import ast
 import dataclasses
 import math
 import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +18,10 @@ from ptcontour.opalg import (ANCHOR, ContourParams, OperatorExpr, build_h1,
 from ptcontour.rational import GaussianRational as Q
 from ptcontour.reference import (REFERENCE_DOMAIN, REFERENCE_GRID_SIZES,
                                  REFERENCE_LEVELS)
-from ptcontour.spectral import (_STENCILS, Grid, _richardson, band_to_dense,
-                                eigensolve_general, eigensolve_hermitian,
-                                is_grid_artifact, matrixize,
-                                neighbor_correlation, oracle_spectrum)
+from ptcontour.spectral import (_STENCILS, Grid, _band_matmul, _richardson,
+                                eigensolve_hermitian, is_grid_artifact,
+                                matrixize, neighbor_correlation,
+                                oracle_spectrum)
 
 OSC_MINUS_ONE = OperatorExpr({(0, 2): Q(1), (2, 0): Q(1), (0, 0): Q(-1)})
 OSC = OperatorExpr({(0, 2): Q(1), (2, 0): Q(1)})
@@ -48,6 +50,24 @@ def dense_matrixize(a: OperatorExpr, grid: Grid) -> np.ndarray:
             d = derivative_matrix(grid.n, grid.spacing, m)
             out += complex(c) * 1j ** m * (pts ** n)[None, :] * d
     return out
+
+
+def band_to_dense(ab: np.ndarray) -> np.ndarray:
+    """Reference: the n x n matrix of a band in ``solve_banded`` layout."""
+    return _band_matmul(ab, np.eye(ab.shape[1]))
+
+
+def dense_eigenpairs(ab: np.ndarray, k: int):
+    """Reference: the k eigenpairs of least real part of a general band, by
+    dense ``eig``, as (values, ||A v - lambda v|| / ||v|| per vector v)."""
+    import scipy.linalg as sla
+    vals, vecs = sla.eig(band_to_dense(ab))
+    order = np.argsort(vals.real, kind="stable")[:k]
+    vals, vecs = vals[order], vecs[:, order]
+    band = ab if ab.imag.any() else ab.real
+    norms = (np.linalg.norm(_band_matmul(band, vecs) - vecs * vals, axis=0)
+             / np.linalg.norm(vecs, axis=0))
+    return vals, norms
 
 
 def contour_spectrum(params, k=5, n=1201):
@@ -472,11 +492,11 @@ def test_hermitian_solve_memory_is_linear_in_n():
     assert rel.max() < 1e-5
 
 
-# --- general eigensolve ------------------------------------------------------------
+# --- level rule and dense reference ----------------------------------------------
 
-def test_general_solver_diagonal():
+def test_hermitian_solver_diagonal():
     # a band of half-bandwidth 0 holds just the diagonal
-    res = eigensolve_general(np.array([[3.0, 1.0, 2.0]], dtype=complex), 3)
+    res = eigensolve_hermitian(np.array([[3.0, 1.0, 2.0]], dtype=complex), 3)
     assert np.allclose(res.real_parts(), [1.0, 2.0, 3.0])
     assert all(abs(e.imag) == 0 for e in res.eigenvalues)
 
@@ -486,11 +506,10 @@ def test_general_solver_diagonal():
     (-2, "the level count must be at least 1, got -2"),
     (13, "at most 12 eigenpairs are retained"),
 ], ids=["k=0", "k=-2", "k=13"])
-def test_general_solver_level_rule(k, message):
-    # the rule eigensolve_hermitian applies, with the same messages
+def test_hermitian_solver_level_rule(k, message):
     ab = np.array([[3.0, 1.0, 2.0]], dtype=complex)
     with pytest.raises(ValueError) as err:
-        eigensolve_general(ab, k)
+        eigensolve_hermitian(ab, k)
     assert str(err.value) == message
 
 
@@ -498,21 +517,20 @@ def test_general_solver_consistent_with_hermitian():
     g = Grid("position", -8.0, 8.0, 257)
     mat = matrixize(OSC, g)
     herm = eigensolve_hermitian(mat, 4, grid=g)
-    gen = eigensolve_general(mat + 0j, 4, grid=g)
-    assert np.abs(herm.real_parts() - gen.real_parts()).max() < 1e-9
+    vals, _ = dense_eigenpairs(mat + 0j, 4)
+    assert np.abs(herm.real_parts() - vals.real).max() < 1e-9
 
 
 def test_transformed_hamiltonian_spectrum_is_real_and_matches_oracle():
     # direct non-Hermitian diagonalization, justified for this contour by its
     # non-adjacent same-family endpoints
     g = Grid("momentum", -16.0, 16.0, 801)
-    mat = matrixize(build_h1(LOWER_PT), g)
-    res = eigensolve_general(mat, 5, grid=g)
-    assert max(abs(e.imag) for e in res.eigenvalues) < 1e-4
-    rel = np.abs(res.real_parts() - np.array(REFERENCE_LEVELS[:5])) \
+    vals, norms = dense_eigenpairs(matrixize(build_h1(LOWER_PT), g), 5)
+    assert np.abs(vals.imag).max() < 1e-4
+    rel = np.abs(vals.real - np.array(REFERENCE_LEVELS[:5])) \
         / np.array(REFERENCE_LEVELS[:5])
     assert rel.max() < 1e-3
-    assert max(res.residual_norms) < 1e-7
+    assert norms.max() < 1e-7
 
 
 # --- oracle spectrum ----------------------------------------------------------------
@@ -587,3 +605,35 @@ def test_no_command_imports_scipy_linalg(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def _scipy_linalg_imports(tree: ast.AST, scope: str = ""):
+    """(enclosing function, line) of each import of scipy.linalg or its
+    submodules in a parsed module."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield from _scipy_linalg_imports(node, f"{scope}{node.name}.")
+            continue
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+            if node.module == "scipy":
+                modules += [f"scipy.{alias.name}" for alias in node.names]
+        else:
+            yield from _scipy_linalg_imports(node, scope)
+            continue
+        if any(m == "scipy.linalg" or m.startswith("scipy.linalg.")
+               for m in modules):
+            yield scope.rstrip("."), node.lineno
+
+
+def test_only_the_lapack_fallback_imports_scipy_linalg():
+    # every solve goes through the banded drivers of _flapack; scipy.linalg
+    # is imported only where _lapack falls back to get_lapack_funcs
+    src = Path(__file__).resolve().parents[1] / "src" / "ptcontour"
+    found = [(path.name, scope) for path in sorted(src.glob("*.py"))
+             for scope, _ in _scipy_linalg_imports(
+                 ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == [("spectral.py", "_lapack")]
