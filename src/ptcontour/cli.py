@@ -348,7 +348,7 @@ def _cmd_sweep(args):
         check_levels(levels)
         grid = default_momentum_grid(
             params, n=sec.getint("grid_n", fallback=args.grid_n))
-        params.invariants()         # refuse a non-Hermitizable section now
+        hermitian_form(params)      # refuse a section with no float band now
         jobs.append((section, params, levels, grid))
     spectra = {section: _spectrum_payload(params, levels, grid)
                for section, params, levels, grid in jobs}

@@ -22,6 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import ValidationError
 from .metric import (TaggedWaveFn, amplitude, default_momentum_grid,
                      eigenbasis)
 from .opalg import ContourParams, IsoMap, map_params, metric_of
@@ -41,6 +42,8 @@ def push_wavefn(m: IsoMap, u: TaggedWaveFn) -> TaggedWaveFn:
     if u.grid.variable != "momentum" or not u.grid.symmetric:
         raise ValueError("push_wavefn requires a symmetric momentum grid")
     beta, gamma = m.beta, m.gamma
+    if abs(beta) > np.finfo(float).max:
+        raise ValidationError(f"the map's scale beta = {beta} overflows a float")
     scale = abs(float(beta))
     natural = Grid("momentum", u.grid.lo * scale, u.grid.hi * scale, u.grid.n)
     factor = u.factor / math.sqrt(scale)

@@ -6,10 +6,10 @@ cubic polynomial exponent that all rows share and that is only ever combined
 analytically.  Transition amplitudes add the bra, ket and metric exponents
 as exact rationals first; for every matched contour/metric pair the sum
 cancels to zero identically, so the amplitudes are finite by structure.
-The amplitude matrix of two bases is one weighted product of their factors,
-F^H diag(w) G, with w the Simpson weights times exp of the combined
-exponent; only an exponent that is genuinely nonzero is exponentiated,
-after the overflow sentinel has bounded it.
+The amplitude matrix of two bases, F^H diag(w) G with w the Simpson
+weights times exp of the combined exponent, is summed one bra row at a
+time, so its temporaries are O(m n), not O(k m n); only a nonzero exponent
+is exponentiated, after the overflow sentinel has bounded it.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NonIntegrable
+from .errors import NonIntegrable, ValidationError
 from .opalg import (ContourParams, MetricSpec, dyson_coefficients,
                     hermitian_form)
 from .opalg import metric_of  # noqa: F401  (re-exported)
@@ -114,6 +114,8 @@ def default_momentum_grid(params: ContourParams, n: int = 1201) -> Grid:
     halfwidth of 4|a^2 c| gives every contour the same resolution.
     """
     s = params.a2c
+    if abs(s.re) + abs(s.im) > np.finfo(float).max / _HALFWIDTH_SCALE:
+        raise ValidationError(f"a^2 c = {s} puts its grid beyond the floats")
     scale = math.hypot(float(s.re), float(s.im))
     return Grid("momentum", -_HALFWIDTH_SCALE * scale, _HALFWIDTH_SCALE * scale, n)
 
@@ -148,7 +150,10 @@ def amplitude(u: TaggedWaveFn, v: TaggedWaveFn, eta: MetricSpec) -> np.ndarray:
             raise NonIntegrable(f"combined exponent peaks at {e[peak]:.3g} "
                                 f"at p = {pts[peak]:.3g}")
         w = w * np.exp(e)
-    return (w * (np.conj(u.factor)[:, None] * v.factor)).sum(-1).astype(complex)
+    out = np.empty((len(u.factor), len(v.factor)), dtype=complex)
+    for i, bra in enumerate(u.factor):
+        out[i] = (w * (np.conj(bra) * v.factor)).sum(-1)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ the metrics and the maps between contours, the rest of the exact algebra.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -24,7 +25,7 @@ from math import comb, factorial
 from typing import Mapping, NamedTuple
 
 from .errors import (NonHermitianRho, NonTerminating, NotHermitizable,
-                     PushforwardMismatch)
+                     PushforwardMismatch, ValidationError)
 from .rational import GaussianRational, I, ONE
 
 
@@ -442,11 +443,14 @@ def hermitian_form(params: ContourParams) -> OperatorExpr:
     independent route against which the commutator-series construction is
     checked.  The terms are listed in the order the series yields them, so
     that :func:`~ptcontour.spectral.matrixize`, which adds them in order,
-    gives the very bits of the band of :func:`hermitize`'s operator.
+    gives the very bits of the band of :func:`hermitize`'s operator.  Raises
+    :class:`ValidationError` if an exact coefficient is beyond the floats.
     """
     lam, _ = params.invariants()
-    return OperatorExpr({(0, 1): 2 / lam, (2, 0): lam ** 2,
-                         (0, 4): 4 / lam ** 4})
+    terms = {(0, 1): 2 / lam, (2, 0): lam ** 2, (0, 4): 4 / lam ** 4}
+    if isinstance(lam, Fraction) and max(terms.values()) > sys.float_info.max:
+        raise ValidationError(f"a^2 c = {lam} puts its band beyond the floats")
+    return OperatorExpr(terms)
 
 
 #: the Hermitian anchor p^2 + 4x^4 - 2x every valid contour reduces to

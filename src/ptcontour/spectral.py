@@ -17,7 +17,7 @@ O(m^2 u) band-to-tridiagonal reduction runs on the band coarsened r-fold
 (m ~ n/r points, r = 16, 8 or 4, the coarsest that passes its check), and
 Rayleigh-quotient iteration on the band itself refines each value and finds
 its vector with a few O(n u^2) ``?gbsv`` solves.  Both drivers are called as
-``eig_banded`` and ``solve_banded`` call them, less their per-call copies.
+``eig_banded`` and ``solve_banded`` call them, less their per-call set-up.
 They come from scipy's compiled LAPACK module ``_flapack``, loaded from its
 file at the first solve, so that no command imports ``scipy.linalg`` (and
 with it ``scipy.sparse``) and commands which solve nothing load no LAPACK at
@@ -172,17 +172,20 @@ def _coarsened(band: np.ndarray, ratio: int, k: int) -> np.ndarray | None:
     cols = band[:, 4:n - u:ratio]     # from 4 >= u: whole stencils only
     if cols.shape[1] <= k:
         return None
-    orders = [order for order, (_, w) in _STENCILS.items()
-              if len(w) // 2 <= u]
-    basis = np.zeros((2 * u + 1, len(orders)))
-    for i, order in enumerate(orders):
-        denom, weights = _STENCILS[order]
-        r = len(weights) // 2
-        basis[u - r:u + r + 1, i] = np.array(weights) / denom
-    coef = np.linalg.solve(basis.T @ basis, basis.T @ cols)
+    orders, basis, gram = _stencil_basis(u)
+    coef = np.linalg.solve(gram, basis.T @ cols)
     if np.abs(basis @ coef - cols).max() > 1e-10 * np.abs(cols).max():
         return None
-    return (basis * float(ratio) ** -np.array(orders)) @ coef
+    return (basis * float(ratio) ** -orders) @ coef
+
+
+@functools.cache
+def _stencil_basis(u: int):
+    """Stencils of half-width <= u as band columns: orders, columns, Gram."""
+    orders = [k for k, (_, w) in _STENCILS.items() if len(w) // 2 <= u]
+    basis = np.stack([np.pad(w, u - len(w) // 2) / d
+                      for d, w in map(_STENCILS.get, orders)], axis=1)
+    return np.array(orders), basis, basis.T @ basis
 
 
 @functools.cache
@@ -208,16 +211,16 @@ def _flapack():
     return None
 
 
+@functools.cache
 def _lapack(name: str, dtype):
     """LAPACK's ``?name`` for arrays of ``dtype``, as (full name, driver):
     the d driver for a real dtype, the z driver for a complex one."""
-    is_complex = np.dtype(dtype).kind == "c"
-    full = ("z" if is_complex else "d") + name
+    dtype = complex if np.dtype(dtype).kind == "c" else float
+    full = ("z" if dtype is complex else "d") + name
     driver = getattr(_flapack(), full, None)
     if driver is None:
         from scipy.linalg.lapack import get_lapack_funcs
-        driver, = get_lapack_funcs((name,),
-                                   dtype=complex if is_complex else float)
+        driver, = get_lapack_funcs((name,), dtype=dtype)
     return full, driver
 
 
@@ -234,30 +237,26 @@ def _seeds(band: np.ndarray, k: int):
                                abstol=2 * np.finfo(float).tiny)
     if info:
         raise NotConverged(f"{name} failed with info {info}")
-    gaps = np.diff(vals[:m])
-    return vals[:k], np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf])[:k]
+    gaps = np.diff(np.concatenate(([-np.inf], vals[:m], [np.inf])))
+    return vals[:k], np.minimum(gaps[:-1], gaps[1:])[:k]
 
 
-def _rayleigh_refine(sym: np.ndarray, lam: float, tol: float):
+def _rayleigh_refine(sym, lam, tol, v, work):
     """Rayleigh-quotient iteration on the band from the value ``lam``.
 
-    Each step solves at the current value (nudged up so that the shift is
-    never exactly singular), started from a ramp, since a constant is
-    orthogonal to the odd levels of a parity-symmetric operator.  Returns
-    the last Rayleigh quotient and its unit vector once the residual is below
-    ``tol``, or after ``_RQI_STEPS`` steps.
+    ``work`` holds the band under u rows of LU fill-in.  Each step sets its
+    diagonal to the band's less the current value (nudged up so that it is
+    never exactly singular) and factors a copy.  The first starts from the
+    ramp ``v``, as a constant is orthogonal to the odd levels of a
+    parity-symmetric operator.  Returns the last Rayleigh quotient and its
+    unit vector at a residual below ``tol``, or after ``_RQI_STEPS``.
     """
-    u, n = sym.shape[0] // 2, sym.shape[1]
-    v = np.linspace(1.0, 2.0, n)
-    dtype = np.result_type(sym, v)
-    name, gbsv = _lapack("gbsv", dtype)
-    # the band below u rows of LU fill-in; in Fortran order, factored in place
-    work = np.zeros((3 * u + 1, n), dtype=dtype, order="F")
+    u = sym.shape[0] // 2
+    name, gbsv = _lapack("gbsv", work.dtype)
     for _ in range(_RQI_STEPS):
         shift = lam + 1e-10 * max(1.0, abs(lam))
-        work[u:] = sym
-        work[2 * u] -= shift
-        _, _, w, info = gbsv(u, u, work, v, overwrite_ab=1)
+        work[2 * u] = sym[u] - shift
+        _, _, w, info = gbsv(u, u, work, v)
         if info:
             raise NotConverged(f"{name} failed with info {info}")
         norm = np.linalg.norm(w)
@@ -289,16 +288,19 @@ def hermitian_eigenpairs(ab: np.ndarray, k: int):
     If no rung passes, the band's own values seed the iteration.
     """
     u, n = ab.shape[0] // 2, ab.shape[1]
-    defect = max(np.abs(ab[u - d, d:] - ab[u + d, :n - d].conj()).max()
+    sym = ab if ab.imag.any() else ab.real      # no complex work for a real A
+    defect = max(np.abs(sym[u - d, d:] - sym[u + d, :n - d].conj()).max()
                  for d in range(u + 1))     # A[i, i+d] vs conj(A[i+d, i])
-    if defect >= 1e-10 * np.abs(ab).max():
+    if defect >= 1e-10 * np.abs(sym).max():
         raise NotHermitian("matrix fails the Hermiticity tolerance")
-    # checked once here: the banded solves below skip their finite checks
-    sym = np.asarray_chkfinite(ab if ab.imag.any() else ab.real)
+    np.asarray_chkfinite(sym)   # once: the solves below skip their checks
+    ramp = np.linspace(1.0, 2.0, n)     # one start and work band per solve
+    work = np.zeros((3 * u + 1, n), np.result_type(sym, ramp), order="F")
+    work[u:] = sym
 
     def refine(seeds, near):
-        vals, vecs = zip(*(_rayleigh_refine(sym, lam, _VECTOR_TOL * d)
-                           for lam, d in zip(seeds, near)))
+        vals, vecs = zip(*(_rayleigh_refine(sym, lam, tol, ramp, work)
+                           for lam, tol in zip(seeds, _VECTOR_TOL * near)))
         return np.array(vals), np.stack(vecs, axis=1)
 
     for ratio in _COARSENINGS:
@@ -336,7 +338,7 @@ def eigensolve_hermitian(ab: np.ndarray, k: int,
     band = ab if ab.imag.any() else ab.real     # no complex work for a real A
     norms = (np.linalg.norm(_band_matmul(band, vecs) - vecs * vals, axis=0)
              / np.linalg.norm(vecs, axis=0))
-    worst, scale = norms.max(), np.abs(ab).max()
+    worst, scale = norms.max(), np.abs(band).max()
     if worst > _RESIDUAL_BOUND * scale:
         raise NotConverged(f"eigenpair residual {worst:.3e} exceeds "
                            f"{_RESIDUAL_BOUND} * max|A| = {scale:.3e}")

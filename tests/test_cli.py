@@ -373,6 +373,57 @@ def test_exit_code_validation_error(tmp_path, capsys, argv, error):
     assert (err["kind"], err["type"], err["message"]) == ("validation", *error)
 
 
+def _spectrum_of(a):
+    return ["spectrum", "--a", a, "--b", "1", "--c", "1"]
+
+
+def _band_message(a2c):
+    return f"a^2 c = {a2c} puts its band beyond the floats"
+
+
+@pytest.mark.parametrize("argv,message", [
+    # 4/(a^2 c)^4 = 4e320 overflows
+    pytest.param(_spectrum_of("1/1" + "0" * 40),
+                 _band_message("1/1" + "0" * 80),
+                 id="spectrum-inverse-fourth-power"),
+    # so does the step h^2 of the x^2 stencil, which underflows to 0
+    pytest.param(_spectrum_of("1/1" + "0" * 100),
+                 _band_message("1/1" + "0" * 200),
+                 id="spectrum-step-underflow"),
+    # (a^2 c)^2 = 1e312 overflows
+    pytest.param(_spectrum_of("1" + "0" * 78),
+                 _band_message("1" + "0" * 156), id="spectrum-square"),
+    # a^2 c = 1e400 is no float itself, nor is the grid's halfwidth
+    pytest.param(_spectrum_of("1" + "0" * 200),
+                 f"a^2 c = 1{'0' * 400} puts its grid beyond the floats",
+                 id="spectrum-a2c-itself"),
+    pytest.param(["iso-check", "--src", "1,1,1", "--dst",
+                  "1" + "0" * 200 + ",1,1"],
+                 f"the map's scale beta = 1{'0' * 400} overflows a float",
+                 id="iso-check-beta"),
+    # refused while the sections are read, before the first one is solved
+    pytest.param(["sweep", "--config", "[ok]\na = -2i\nb = 1\nc = 1\n"
+                  "[s1]\na = 1" + "0" * 78 + "\nb = 1\nc = 1\n"],
+                 _band_message("1" + "0" * 156), id="sweep"),
+])
+def test_exact_literals_beyond_the_floats_are_validation_errors(
+        tmp_path, capsys, monkeypatch, argv, message):
+    # the literals are exact, so only the floats made from them overflow or
+    # underflow; each run exits 2 with a typed error that names the value
+    import ptcontour.cli as cli
+    if argv[0] == "sweep":      # refused before any section is solved
+        monkeypatch.setattr(cli, "_spectrum_payload", _raise(AssertionError))
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(argv[-1])
+        argv = [*argv[:-1], str(cfg)]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert (err["kind"], err["type"], err["message"]) \
+        == ("validation", "ValidationError", message)
+    assert not out.exists()
+
+
 _SPECTRUM = ["spectrum", "--a", "-2i", "--b", "1", "--c", "1", "--levels"]
 _ISO_CHECK = ["iso-check", "--src", "1,1,1", "--dst", "-2i,1,1", "-k"]
 _TOO_FEW = "the level count must be at least 1, got 0"
@@ -662,7 +713,8 @@ def test_wedges_real_root_at_first_sample(tmp_path, capsys, b):
         == wedges_payload(tmp_path, capsys, "1+49.9i", "upper")
 
 
-_HOSTILE = ("nan", "3/0", "1e400", "", "-")
+#: the last two are exact, so only their floats overflow or underflow
+_HOSTILE = ("nan", "3/0", "1e400", "", "-", "1" + "0" * 78, "1/1" + "0" * 50)
 _LITERALS = ("-2i", "i", "1", "0", "5", "1/3", "1+i")
 #: grid and point counts; no solve runs on more than 4001 points
 _SIZES = ("-1", "0", "1", "2", "15", "16", "17", "401", "801", "4001")

@@ -172,6 +172,64 @@ def test_amplitude_matrix_is_one_product_over_matched_bases():
                               pairwise_amplitudes(basis, eta))
 
 
+def broadcast_amplitudes(u, v, eta):
+    """Reference: the whole (k, m, n) product of the factors, weighted and
+    summed over its last axis."""
+    from ptcontour.metric import _combined_exponent, _poly_eval
+    w = simpson_weights(u.grid.n, u.grid.spacing)
+    combined = _combined_exponent(u, v, eta)
+    if any(combined):
+        w = w * np.exp(_poly_eval(combined, u.grid.points()))
+    return (w * (np.conj(u.factor)[:, None] * v.factor)).sum(-1).astype(complex)
+
+
+def random_exponent(rng):
+    return tuple(Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 9)))
+                 for _ in range(4))
+
+
+def test_amplitude_rows_match_the_broadcast_product_bitwise():
+    # summed one bra row at a time, each entry keeps its own products and its
+    # own pairwise sum, so the bits are those of the whole (k, m, n) product;
+    # complex factors, k != m and a nonzero combined exponent below the
+    # overflow sentinel
+    from ptcontour.metric import _EXP_OVERFLOW, _combined_exponent, _poly_eval
+    rng = np.random.default_rng(20121101)
+    for _ in range(50):
+        grid = Grid("momentum", -rng.uniform(1.0, 4.0), rng.uniform(1.0, 4.0),
+                    2 * int(rng.integers(8, 800)) + 1)
+        k, m = (int(x) for x in rng.choice(np.arange(1, 13), 2, replace=False))
+        while True:
+            bases = [TaggedWaveFn(grid=grid, exponent=random_exponent(rng),
+                                  factor=rng.standard_normal((rows, grid.n))
+                                  + 1j * rng.standard_normal((rows, grid.n)))
+                     for rows in (k, m)]
+            eta = MetricSpec(*random_exponent(rng)[::3])
+            combined = _combined_exponent(*bases, eta)
+            if (any(combined) and _poly_eval(combined, grid.points()).max()
+                    < _EXP_OVERFLOW):
+                break
+        mat = amplitude(*bases, eta)
+        assert mat.shape == (k, m) and mat.dtype == complex
+        assert mat.tobytes() == broadcast_amplitudes(*bases, eta).tobytes()
+
+
+def test_amplitude_temporaries_are_one_bra_row():
+    # k = 12 levels on 4001 points: the temporaries of one row, not the
+    # (k, k, n) product (8.9 MB when it was formed whole)
+    import tracemalloc
+    grid = default_momentum_grid(LOWER_PT, n=4001)
+    basis = eigenbasis(LOWER_PT, 12, grid)
+    eta = metric_of(LOWER_PT)
+    tracemalloc.start()
+    try:
+        amplitude(basis, basis, eta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 12 * grid.n * 8
+
+
 def test_amplitude_matrix_of_mixed_grids_raises():
     a = eigenbasis(LOWER_PT, 1, default_momentum_grid(LOWER_PT))
     b = eigenbasis(UPPER_PT, 2, default_momentum_grid(UPPER_PT))

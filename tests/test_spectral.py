@@ -393,8 +393,9 @@ def reference_seeds(band, k):
     return vals[:k], np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf])[:k]
 
 
-def reference_refine(sym, lam, tol):
-    """The Rayleigh-quotient iteration through the public ``solve_banded``."""
+def reference_refine(sym, lam, tol, ramp, work):
+    """The Rayleigh-quotient iteration through the public ``solve_banded``,
+    with its own start vector and no shared work band."""
     from scipy.linalg import solve_banded
     from ptcontour.spectral import _RQI_STEPS
     u, n = sym.shape[0] // 2, sym.shape[1]
@@ -458,12 +459,14 @@ def test_drivers_fall_back_to_get_lapack_funcs_bitwise(monkeypatch, op,
     import ptcontour.spectral as spectral
     monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
     spectral._flapack.cache_clear()
+    spectral._lapack.cache_clear()      # nor a driver looked up before
     try:
         assert spectral._flapack() is None
         test_direct_drivers_match_public_wrappers_bitwise(monkeypatch, op,
                                                           grid_of)
     finally:
         spectral._flapack.cache_clear()
+        spectral._lapack.cache_clear()
 
 
 def test_residual_gate_wired(monkeypatch):
