@@ -25,7 +25,7 @@ basis = eigenbasis(ADJACENT, 4, grid)
 
 print(f"contour {ADJACENT.label()}: psi~(p) = exp(E(p)) * factor(p) with the "
       f"exact exponent E(p) = +(2/3)p^3 + p")
-pts = grid.points()
+pts = basis.points()
 factor = np.abs(basis.factor[0])
 resolved = pts[factor > 1e-12 * factor.max()]
 print(f"grid: [{grid.lo}, {grid.hi}] with {grid.n} points; the factor is "

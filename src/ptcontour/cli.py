@@ -5,8 +5,9 @@ so paper-style inputs like ``-2i`` or ``1/3+2/5i`` round-trip exactly into
 the algebra.  Every subcommand writes its artifacts under ``--out`` only and
 produces deterministic output: identical configuration yields byte-identical
 JSON.  Only this module knows the JSON schema; the library returns results.
-A subcommand does all its work before :func:`_write` makes ``--out``, so a
-rejected run leaves no ``--out``; only ``algebra-verify`` writes its report
+A subcommand does all its work and renders every output before
+:func:`_write` makes ``--out``, so a rejected run, a NaN or an infinity
+included, leaves no ``--out``; only ``algebra-verify`` writes its report
 of failing checks before it fails, because that report is its output.
 A subcommand imports the numeric modules it needs only once its literals
 are parsed: ``algebra-verify`` loads neither numpy nor LAPACK, ``wedges``,
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import math
 import re
 import sys
@@ -31,14 +33,15 @@ from typing import TYPE_CHECKING
 from . import catalog, reference
 from .errors import (ConfigParseError, NumericalError, ParseError,
                      PtContourError, PushforwardMismatch, ValidationError)
-from .jsonio import canonical_dumps, write_csv, write_json
-from .opalg import (ANCHOR, Branch, ContourParams, OperatorExpr,
+from .jsonio import canonical_dumps, csv_dumps, write_json
+from .opalg import (ANCHOR, UNIT_FORM, Branch, ContourParams, OperatorExpr,
                     bch_conjugate, canonical_swap, hermitian_form, hermitize,
-                    is_hermitian, map_params, metric_of, push_metric)
+                    is_hermitian, map_params, metric_of, push_metric,
+                    unit_dilation)
 from .rational import GaussianRational
 
 if TYPE_CHECKING:
-    from .spectral import Grid
+    from .spectral import Grid, SpectrumResult
 
 _NUMBER = r"(?:\d+/\d+|\d+\.\d+|\.\d+|\d+)"
 _SINGLE = re.compile(rf"^(?P<sign>[+-]?)(?P<mag>{_NUMBER})?(?P<i>i)?$")
@@ -105,22 +108,32 @@ def _formats(text: str) -> set[str]:
     return names
 
 
-def _write(args, artifacts: dict) -> None:
-    """Make ``--out`` and write each artifact whose format is selected; by
-    suffix, a ``.json`` payload, a ``.csv`` ``(header, rows)`` pair or an
-    ``.svg`` function that draws the figure at the path it is given."""
+def _write(args, payload: dict, artifacts: dict) -> str:
+    """Render the payload and each selected artifact (by suffix a ``.json``
+    payload, a ``.csv`` ``(header, rows)`` pair or an ``.svg`` function that
+    draws at the path it is given), then make ``--out`` and write them; a
+    NaN or an infinity raises :class:`NumericalError` first.  Returns the
+    payload's text."""
+    try:
+        text = canonical_dumps(payload)
+        files = {name: content if name.endswith(".svg")
+                 else csv_dumps(*content) if name.endswith(".csv")
+                 else text if content is payload else canonical_dumps(content)
+                 for name, content in artifacts.items()
+                 if name.rpartition(".")[2] in args.formats}
+    except ValueError as exc:
+        raise NumericalError(f"refused to write a non-finite number: {exc}") \
+            from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for name, content in artifacts.items():
-        fmt = name.rpartition(".")[2]
-        if fmt not in args.formats:
-            continue
-        if fmt == "json":
+    for name, content in files.items():
+        if name.endswith(".json"):
             write_json(out / name, content)
-        elif fmt == "csv":
-            write_csv(out / name, *content)
+        elif name.endswith(".csv"):
+            (out / name).write_text(content, encoding="utf-8", newline="")
         else:
             content(out / name)
+    return text
 
 
 def _params_json(p: ContourParams) -> dict:
@@ -179,20 +192,25 @@ def _cmd_algebra_verify(args):
         print(f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}")
     payload = {"command": "algebra-verify", "checks": checks,
                "all_passed": all(c["passed"] for c in checks)}
-    _write(args, {"algebra_verify.json": payload})
+    text = _write(args, payload, {"algebra_verify.json": payload})
     if not payload["all_passed"]:
         raise PtContourError("algebra verification failed")
-    return payload
+    return text
 
 
-def _spectrum_payload(params: ContourParams, levels: int, grid: Grid):
-    """The spectrum of the contour's Hermitian equivalent, from its closed
-    form :func:`hermitian_form`, which :func:`hermitize` equals term for
-    term (``tests/test_symbolic.py`` proves it, ``algebra-verify`` checks
-    it)."""
+def _unit_spectrum(levels: int, n: int) -> SpectrumResult:
+    """The lowest levels of the unit form on n points: by the dilation that
+    :func:`unit_dilation` gates, those of every contour."""
+    from .metric import default_momentum_grid
     from .spectral import eigensolve_hermitian, matrixize
-    result = eigensolve_hermitian(
-        matrixize(hermitian_form(params), grid), levels, grid=grid)
+    grid = default_momentum_grid(catalog.SQRT_IX, n=n)
+    return eigensolve_hermitian(matrixize(UNIT_FORM, grid), levels)
+
+
+def _spectrum_payload(params: ContourParams, levels: int, grid: Grid,
+                      solve=_unit_spectrum):
+    """The spectrum of a gated contour on its grid, from ``solve``."""
+    result = solve(levels, grid.n)
     ref = reference.REFERENCE_LEVELS[:levels]
     rel = max(abs(ev.real - r) / abs(r)
               for ev, r in zip(result.eigenvalues, ref))
@@ -207,14 +225,15 @@ def _spectrum_payload(params: ContourParams, levels: int, grid: Grid):
 def _cmd_spectrum(args):
     params = _contour(args.a, args.b, args.c)
     from .metric import default_momentum_grid
-    payload = _spectrum_payload(
-        params, args.levels, default_momentum_grid(params, n=args.grid_n))
+    grid = default_momentum_grid(params, n=args.grid_n)
+    unit_dilation(params)
+    payload = _spectrum_payload(params, args.levels, grid)
     rows = [(i, ev["re"], ev["im"], res)
             for i, (ev, res) in enumerate(zip(payload["eigenvalues"],
                                               payload["residuals"]))]
-    _write(args, {"spectrum.json": payload,
-                  "spectrum.csv": (["level", "re", "im", "residual"], rows)})
-    return payload
+    return _write(args, payload, {
+        "spectrum.json": payload,
+        "spectrum.csv": (["level", "re", "im", "residual"], rows)})
 
 
 def _cmd_iso_check(args):
@@ -233,11 +252,11 @@ def _cmd_iso_check(args):
                                            for row in mat]
                                     for side, mat in tables.items()}}
     header = ["i"] + [f"j{j}" for j in range(report.k)]
-    _write(args, {"iso_check.json": payload,
-                  **{f"amplitudes_{side}.csv":
-                     (header, [[i, *row.real] for i, row in enumerate(mat)])
-                     for side, mat in tables.items()}})
-    return payload
+    return _write(args, payload, {
+        "iso_check.json": payload,
+        **{f"amplitudes_{side}.csv":
+           (header, [[i, *row.real] for i, row in enumerate(mat)])
+           for side, mat in tables.items()}})
 
 
 def _cmd_wedges(args):
@@ -254,10 +273,10 @@ def _cmd_wedges(args):
         wedge_figure(path, [(
             f"z = {params.a}*sqrt({params.b} + {params.c}*i*x)"
             f" [{params.branch.value}]", re_z, im_z, False)])
-    _write(args, {"wedges.json": payload,
-                  "contour.csv": (["x", "re_z", "im_z"], zip(xs, re_z, im_z)),
-                  "wedges.svg": figure})
-    return payload
+    return _write(args, payload, {
+        "wedges.json": payload,
+        "contour.csv": (["x", "re_z", "im_z"], zip(xs, re_z, im_z)),
+        "wedges.svg": figure})
 
 
 def _cmd_wkb(args):
@@ -288,12 +307,11 @@ def _cmd_wkb(args):
                           ("log|profile*eta*profile|", ps, weighted)],
                    title=f"momentum-space profile: {tag}",
                    xlabel="p", ylabel="log magnitude")
-    _write(args, {
+    return _write(args, payload, {
         f"wkb_{tag}.csv": (["p", "log_wkb", "log_weighted", "in_domain"],
                            ((p, lm, wm, int(mk)) for p, lm, wm, mk
                             in zip(ps, logmag, weighted, mask))),
         f"wkb_{tag}.svg": figure, f"wkb_{tag}.json": payload})
-    return payload
 
 
 def _cmd_hermite_demo(args):
@@ -312,14 +330,13 @@ def _cmd_hermite_demo(args):
                           for n in range(4)],
                    title="first four Hermite polynomials",
                    xlabel="x", ylabel="H_n(x)")
-    _write(args, {
+    return _write(args, payload, {
         "hermite_T.csv": (["n"] + [f"m{m}" for m in range(k)],
                           ([n, *row] for n, row in enumerate(table.table))),
         "hermite_samples.csv": (["x", "H0", "H1", "H2", "H3"],
                                 ((x, *vals) for x, vals
                                  in zip(table.plot_x, table.plot_values.T))),
         "hermite.svg": figure, "hermite.json": payload})
-    return payload
 
 
 def _cmd_sweep(args):
@@ -348,18 +365,19 @@ def _cmd_sweep(args):
         check_levels(levels)
         grid = default_momentum_grid(
             params, n=sec.getint("grid_n", fallback=args.grid_n))
-        hermitian_form(params)      # refuse a section with no float band now
+        unit_dilation(params)
         jobs.append((section, params, levels, grid))
-    spectra = {section: _spectrum_payload(params, levels, grid)
+    solve = functools.cache(_unit_spectrum)     # one solve per (levels, n)
+    spectra = {section: _spectrum_payload(params, levels, grid, solve)
                for section, params, levels, grid in jobs}
     payload = {"command": "sweep", "sections": {
         section: {key: spectrum[key]
                   for key in ("eigenvalues", "max_relative_deviation")}
         for section, spectrum in spectra.items()}}
-    _write(args, {**{f"spectrum_{section}.json": spectrum
-                     for section, spectrum in spectra.items()},
-                  "summary.json": payload})
-    return payload
+    return _write(args, payload, {
+        **{f"spectrum_{section}.json": spectrum
+           for section, spectrum in spectra.items()},
+        "summary.json": payload})
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +483,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_absorb_values(argv))
     try:
         args.formats = _formats(args.formats)
-        payload = args.func(args)
+        text = args.func(args)
     except tuple(exc for exc, _, _ in _ERROR_CODES) as exc:
         code, kind = next((code, kind) for exc_type, code, kind
                           in _ERROR_CODES if isinstance(exc, exc_type))
@@ -473,7 +491,7 @@ def main(argv=None) -> int:
             "error": {"kind": kind, "type": type(exc).__name__,
                       "message": str(exc)}}), end="")
         return code
-    print(canonical_dumps(payload), end="")
+    print(text, end="")
     return 0
 
 

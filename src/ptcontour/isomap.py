@@ -6,8 +6,9 @@ by an imaginary amount set by gamma = b2/c2 - a1^2 b1 / (a2^2 c2).  On
 momentum-space wavefunctions the scaling acts as a unitary dilation and the
 imaginary shift as multiplication by exp(gamma p).  For every admissible
 contour a^2 c and b/c are real, so beta and gamma are exact real rationals;
-both parts act analytically on the tagged exponent, so the transported
-metric coefficients obey the exact rational identities
+the dilation multiplies a basis' exact scale (the momentum per grid unit)
+and both parts act analytically on the tagged exponent, so no sample
+changes, and the transported metric coefficients obey the exact identities
 
     kappa3' = kappa3 / beta^3        kappa1' = kappa1 / beta - 2 gamma
 
@@ -16,42 +17,29 @@ and the metric transport are exact and live in :mod:`ptcontour.opalg`.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ValidationError
+from .catalog import SQRT_IX
 from .metric import (TaggedWaveFn, amplitude, default_momentum_grid,
                      eigenbasis)
-from .opalg import ContourParams, IsoMap, map_params, metric_of
+from .opalg import ContourParams, IsoMap, map_params, metric_of, unit_dilation
 from .opalg import push_metric  # noqa: F401  (re-exported)
-from .spectral import Grid
 
 
 def push_wavefn(m: IsoMap, u: TaggedWaveFn) -> TaggedWaveFn:
     """Transport a tagged basis along the map, all rows at once.
 
-    The dilation part rescales the grid by beta (with a parity fold, which
-    reverses every row, for beta < 0) and divides exponent coefficients by
-    beta^k; the shift part adds gamma * p.  The factor keeps its sample
-    values up to the unitary normalization |beta|^(-1/2); nothing is
-    interpolated.
+    The dilation multiplies the scale by beta, which carries each sample to
+    beta times its momentum (with a parity fold for beta < 0), and divides
+    exponent coefficients by beta^k; the shift adds gamma * p.  The grid
+    and the factor, in grid units, stay as they are.
     """
-    if u.grid.variable != "momentum" or not u.grid.symmetric:
-        raise ValueError("push_wavefn requires a symmetric momentum grid")
-    beta, gamma = m.beta, m.gamma
-    if abs(beta) > np.finfo(float).max:
-        raise ValidationError(f"the map's scale beta = {beta} overflows a float")
-    scale = abs(float(beta))
-    natural = Grid("momentum", u.grid.lo * scale, u.grid.hi * scale, u.grid.n)
-    factor = u.factor / math.sqrt(scale)
-    if beta < 0:
-        factor = factor[:, ::-1].copy()
-    exponent = tuple(c / beta ** k for k, c in enumerate(u.exponent))
-    exponent = (exponent[0], exponent[1] + gamma, exponent[2], exponent[3])
-    return TaggedWaveFn(grid=natural, factor=factor, exponent=exponent)
+    exponent = [c / m.beta ** k for k, c in enumerate(u.exponent)]
+    exponent[1] += m.gamma
+    return replace(u, scale=u.scale * m.beta, exponent=tuple(exponent))
 
 
 @dataclass(frozen=True)
@@ -77,14 +65,18 @@ def verify_isometry(src: ContourParams, dst: ContourParams, k: int = 3,
                     n: int = 1201) -> IsometryReport:
     """Check amplitude preservation between two contours' Hilbert spaces.
 
-    Computes the k x k metric-weighted amplitude matrix of the source
-    eigenbasis, maps the whole basis onto the target and recomputes the
-    matrix with the target metric.  Because the map rescales the source
-    grid onto the target's natural one, no interpolation enters the
-    comparison.
+    Gates both contours (:func:`~ptcontour.opalg.unit_dilation`), reaches
+    the source eigenbasis by the exact map from that of ``SQRT_IX``
+    (a^2 c = 1) on n points, and computes its k x k metric-weighted
+    amplitude matrix; then maps the whole basis onto the target and
+    recomputes the matrix with the target metric.  No float depends on
+    either a^2 c, so every admissible pair is accepted.
     """
+    unit_dilation(src)
+    unit_dilation(dst)
     m = map_params(src, dst)
-    basis = eigenbasis(src, k, default_momentum_grid(src, n=n))
+    unit = eigenbasis(SQRT_IX, k, default_momentum_grid(SQRT_IX, n=n))
+    basis = push_wavefn(map_params(SQRT_IX, src), unit)
     a_src = amplitude(basis, basis, metric_of(src))
     pushed = push_wavefn(m, basis)
     a_dst = amplitude(pushed, pushed, metric_of(dst))

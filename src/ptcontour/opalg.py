@@ -13,19 +13,20 @@ anchor operator ``p^2 + 4x^4 - 2x``.  These read a contour only
 through its invariants ``a^2 c`` and ``b/c``, which
 :meth:`ContourParams.invariants` checks and returns as exact reals; so do
 the metrics and the maps between contours, the rest of the exact algebra.
+Each contour's Hermitian equivalent is the unit form dilated by ``a^2 c``,
+as :func:`unit_dilation` checks: the numeric layers solve only that form.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import comb, factorial
 from typing import Mapping, NamedTuple
 
 from .errors import (NonHermitianRho, NonTerminating, NotHermitizable,
-                     PushforwardMismatch, ValidationError)
+                     PushforwardMismatch)
 from .rational import GaussianRational, I, ONE
 
 
@@ -213,11 +214,11 @@ class ContourParams:
         if self.c.is_zero():
             raise ValueError("contour requires c != 0")
 
-    @property
+    @cached_property
     def a2c(self) -> GaussianRational:
         return self.a * self.a * self.c
 
-    @property
+    @cached_property
     def b_over_c(self) -> GaussianRational:
         return self.b / self.c
 
@@ -226,8 +227,13 @@ class ContourParams:
 
         Every exact identity depends on the contour only through these two.
         Raises :class:`NotHermitizable` when a^2 c is not real and
-        :class:`NonHermitianRho` when b/c is not real.
+        :class:`NonHermitianRho` when b/c is not real, on every call: only
+        the pair is kept on the instance.
         """
+        return self._invariants
+
+    @cached_property
+    def _invariants(self) -> tuple[Fraction, Fraction]:
         a2c, b_over_c = self.a2c, self.b_over_c
         if not a2c.is_real():
             raise NotHermitizable(
@@ -443,14 +449,28 @@ def hermitian_form(params: ContourParams) -> OperatorExpr:
     independent route against which the commutator-series construction is
     checked.  The terms are listed in the order the series yields them, so
     that :func:`~ptcontour.spectral.matrixize`, which adds them in order,
-    gives the very bits of the band of :func:`hermitize`'s operator.  Raises
-    :class:`ValidationError` if an exact coefficient is beyond the floats.
+    gives the very bits of the band of :func:`hermitize`'s operator.
     """
     lam, _ = params.invariants()
-    terms = {(0, 1): 2 / lam, (2, 0): lam ** 2, (0, 4): 4 / lam ** 4}
-    if isinstance(lam, Fraction) and max(terms.values()) > sys.float_info.max:
-        raise ValidationError(f"a^2 c = {lam} puts its band beyond the floats")
-    return OperatorExpr(terms)
+    return OperatorExpr({(0, 1): 2 / lam, (2, 0): lam ** 2,
+                         (0, 4): 4 / lam ** 4})
+
+
+#: 4p^4 + 2p + x^2, the Hermitian equivalent of every contour with a^2 c = 1
+UNIT_FORM = OperatorExpr({(0, 1): 2, (2, 0): 1, (0, 4): 4})
+
+
+def unit_dilation(params: ContourParams) -> Fraction:
+    """The gate of every numeric result: lam = a^2 c, once the contour's
+    :func:`hermitian_form` is checked to be :data:`UNIT_FORM` dilated by
+    p = lam p', each c x^m p^n carried to c lam^(m-n) x^m p^n; a mismatch,
+    which only a bug can make, raises :class:`PushforwardMismatch`."""
+    lam, _ = params.invariants()
+    if hermitian_form(params) != OperatorExpr(
+            {(m, n): c * lam ** (m - n) for (m, n), c in UNIT_FORM}):
+        raise PushforwardMismatch(f"{params.label()} is not the unit form "
+                                  f"dilated by a^2 c = {lam}")
+    return lam
 
 
 #: the Hermitian anchor p^2 + 4x^4 - 2x every valid contour reduces to

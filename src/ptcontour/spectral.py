@@ -78,12 +78,11 @@ class Grid:
     def spacing(self) -> float:
         return (self.hi - self.lo) / (self.n - 1)
 
-    @property
-    def symmetric(self) -> bool:
-        return self.lo == -self.hi
-
     def points(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.n)
+        """mid + h (j - (n - 1)/2), j < n: exactly odd about mid, so mirrored
+        or power-of-two-dilated symmetric grids share their floats."""
+        mid = (self.lo + self.hi) / 2
+        return mid + self.spacing * (np.arange(self.n) - (self.n - 1) / 2)
 
 
 def position_grid(extent: float, n: int = 1201) -> Grid:

@@ -149,7 +149,7 @@ def compare_to_numeric(tag: str) -> list[TailComparison]:
     _check(tag)
     params = TAG_PARAMS[tag]
     u = eigenbasis(params, 1, default_momentum_grid(params))
-    pts = u.grid.points()
+    pts = u.points()
     ground = u.factor[0]
     log_factor = np.full(len(pts), -np.inf)
     nz = np.abs(ground) > 0
@@ -169,7 +169,7 @@ def compare_to_numeric(tag: str) -> list[TailComparison]:
         rel = abs(numeric_factor_slope - wkb_factor_slope) / abs(wkb_factor_slope)
         out.append(TailComparison(
             side=side,
-            window=(float(x[0]), float(x[-1])),
+            window=(float(x.min()), float(x.max())),
             numeric_factor_slope=numeric_factor_slope,
             wkb_factor_slope=wkb_factor_slope,
             relative_deviation=float(rel),

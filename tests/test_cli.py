@@ -377,51 +377,65 @@ def _spectrum_of(a):
     return ["spectrum", "--a", a, "--b", "1", "--c", "1"]
 
 
-def _band_message(a2c):
-    return f"a^2 c = {a2c} puts its band beyond the floats"
-
-
 @pytest.mark.parametrize("argv,message", [
-    # 4/(a^2 c)^4 = 4e320 overflows
-    pytest.param(_spectrum_of("1/1" + "0" * 40),
-                 _band_message("1/1" + "0" * 80),
-                 id="spectrum-inverse-fourth-power"),
-    # so does the step h^2 of the x^2 stencil, which underflows to 0
-    pytest.param(_spectrum_of("1/1" + "0" * 100),
-                 _band_message("1/1" + "0" * 200),
-                 id="spectrum-step-underflow"),
-    # (a^2 c)^2 = 1e312 overflows
-    pytest.param(_spectrum_of("1" + "0" * 78),
-                 _band_message("1" + "0" * 156), id="spectrum-square"),
     # a^2 c = 1e400 is no float itself, nor is the grid's halfwidth
     pytest.param(_spectrum_of("1" + "0" * 200),
                  f"a^2 c = 1{'0' * 400} puts its grid beyond the floats",
                  id="spectrum-a2c-itself"),
-    pytest.param(["iso-check", "--src", "1,1,1", "--dst",
-                  "1" + "0" * 200 + ",1,1"],
-                 f"the map's scale beta = 1{'0' * 400} overflows a float",
-                 id="iso-check-beta"),
-    # refused while the sections are read, before the first one is solved
-    pytest.param(["sweep", "--config", "[ok]\na = -2i\nb = 1\nc = 1\n"
-                  "[s1]\na = 1" + "0" * 78 + "\nb = 1\nc = 1\n"],
-                 _band_message("1" + "0" * 156), id="sweep"),
 ])
 def test_exact_literals_beyond_the_floats_are_validation_errors(
-        tmp_path, capsys, monkeypatch, argv, message):
+        tmp_path, capsys, argv, message):
     # the literals are exact, so only the floats made from them overflow or
-    # underflow; each run exits 2 with a typed error that names the value
-    import ptcontour.cli as cli
-    if argv[0] == "sweep":      # refused before any section is solved
-        monkeypatch.setattr(cli, "_spectrum_payload", _raise(AssertionError))
-        cfg = tmp_path / "sweep.ini"
-        cfg.write_text(argv[-1])
-        argv = [*argv[:-1], str(cfg)]
+    # underflow; the run exits 2 with a typed error that names the value
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 2
     err = json.loads(capsys.readouterr().out)["error"]
     assert (err["kind"], err["type"], err["message"]) \
         == ("validation", "ValidationError", message)
     assert not out.exists()
+
+
+def assert_finite_outputs(printed, out):
+    """The printed payload and every JSON and CSV file under ``out`` hold
+    no NaN or infinity."""
+    json.loads(printed, parse_constant=_no_constant)
+    for path in out.iterdir():
+        text = path.read_text()
+        if path.suffix == ".json":
+            json.loads(text, parse_constant=_no_constant)
+        elif path.suffix == ".csv":
+            assert not re.search(r"\b(nan|inf)\b", text, re.I), path
+
+
+@pytest.mark.parametrize("argv", [
+    # the contour's band would hold 4/(a^2 c)^4 = 4e320; the unit band's
+    # dilation carries it exactly
+    pytest.param(_spectrum_of("1/1" + "0" * 40),
+                 id="spectrum-inverse-fourth-power"),
+    # its step h^2 of the x^2 stencil would underflow to 0
+    pytest.param(_spectrum_of("1/1" + "0" * 100),
+                 id="spectrum-step-underflow"),
+    # its x^2 coefficient (a^2 c)^2 would be 1e312
+    pytest.param(_spectrum_of("1" + "0" * 78), id="spectrum-square"),
+    # the map's scale beta = 1e400 stays exact: no grid of the target's is
+    # built
+    pytest.param(["iso-check", "--src", "1,1,1", "--dst",
+                  "1" + "0" * 200 + ",1,1"], id="iso-check-beta"),
+    pytest.param(["sweep", "--config", "[ok]\na = -2i\nb = 1\nc = 1\n"
+                  "[s1]\na = 1" + "0" * 78 + "\nb = 1\nc = 1\n"],
+                 id="sweep"),
+])
+def test_bands_beyond_the_floats_are_solved(
+        tmp_path, capsys, argv):
+    # the literals are exact and only the unit band is solved, so each run
+    # exits 0 and writes finite numbers only
+    if argv[0] == "sweep":
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(argv[-1])
+        argv = [*argv[:-1], str(cfg)]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert_finite_outputs(capsys.readouterr().out, out)
 
 
 _SPECTRUM = ["spectrum", "--a", "-2i", "--b", "1", "--c", "1", "--levels"]
@@ -535,6 +549,131 @@ def test_sweep_rejected_after_a_solve_leaves_no_out(tmp_path, capsys,
     assert (err["kind"], err["type"], err["message"]) == error
     assert len(calls) == solves
     assert not out.exists()
+
+
+def test_sweep_solves_once_per_grid_size_and_level_count(tmp_path, capsys,
+                                                         monkeypatch):
+    # every contour is the unit band dilated: four sections on two distinct
+    # (levels, grid_n) pairs take two solves, which no later command reuses
+    import ptcontour.cli as cli
+    real, calls = cli._unit_spectrum, []
+
+    def solve(levels, n):
+        calls.append((levels, n))
+        return real(levels, n)
+    monkeypatch.setattr(cli, "_unit_spectrum", solve)
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text("".join(f"[s{i}]\na = {a}\nb = 1\nc = 1\n{extra}\n"
+                           for i, (a, extra) in enumerate([
+                               ("-2i", ""), ("i", ""), ("1", "grid_n = 801\n"),
+                               ("1/3", "")])))
+    for run in ("one", "two"):
+        assert main(["sweep", "--config", str(cfg), "--levels", "2",
+                     "--grid-n", "401", "--out", str(tmp_path / run)]) == 0
+    assert calls == [(2, 401), (2, 801)] * 2
+    summary = read_json(tmp_path, "one/summary.json")["sections"]
+    assert summary["s0"] == summary["s1"] == summary["s3"]
+
+
+def test_non_finite_output_is_a_numerical_error(tmp_path, capsys,
+                                                monkeypatch):
+    # a NaN that reaches any output is refused before --out is made, as a
+    # numerical failure, not a validation one
+    import ptcontour.cli as cli
+    real = cli._spectrum_payload
+
+    def payload(*args):
+        return {**real(*args), "max_relative_deviation": float("nan")}
+    monkeypatch.setattr(cli, "_spectrum_payload", payload)
+    for formats in ("json,csv", "csv"):
+        out = tmp_path / formats
+        assert main([*_spectrum_of("-2i"), "--levels", "2", "--grid-n", "401",
+                     "--formats", formats, "--out", str(out)]) == 3
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["kind"], err["type"]) == ("numerical", "NumericalError")
+        assert err["message"].startswith("refused to write a non-finite")
+        assert not out.exists()
+
+
+def test_covariance_mutant_fails_every_run_with_a_negative_a2c(
+        tmp_path, capsys, monkeypatch):
+    # hermitian_form with 2/|lam| for 2/lam is wrong only where a^2 c < 0;
+    # the gate of every solving command refuses exactly those runs
+    import ptcontour.opalg as opalg
+    from test_opalg import covariance_mutant
+    monkeypatch.setattr(opalg, "hermitian_form", covariance_mutant)
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text("[adjacent]\na = 1\nb = 1\nc = 1\n\n"
+                   "[reference]\na = -2i\nb = 1\nc = 1\n")
+    runs = {
+        "spectrum-lower": (_spectrum_of("-2i"), 2),
+        "spectrum-upper": (_spectrum_of("i"), 2),
+        "iso-check-source": (["iso-check", "--src", "-2i,1,1",
+                              "--dst", "1,1,1"], 2),
+        "iso-check-target": (["iso-check", "--src", "1,1,1",
+                              "--dst", "i,5,1"], 2),
+        "sweep": (["sweep", "--config", str(cfg)], 2),
+        "spectrum-adjacent": (_spectrum_of("1"), 0),
+        "iso-check-positive": (["iso-check", "--src", "1,1,1",
+                                "--dst", "1,0,1"], 0),
+    }
+    for name, (argv, code) in runs.items():
+        out = tmp_path / name
+        assert main([*argv, "--grid-n", "401", "--out", str(out)]) == code
+        printed = json.loads(capsys.readouterr().out)
+        if code:
+            assert printed["error"]["type"] == "PushforwardMismatch", name
+            assert not out.exists(), name
+
+
+def _magnitude(e):
+    """10^e as an exact literal."""
+    return "1" + "0" * e if e >= 0 else "1/1" + "0" * -e
+
+
+#: a^2 c = 10^e; only e <= -324 and e >= 308 put the halfwidth 4 |a^2 c| of
+#: the contour's momentum grid outside the floats
+_EXPONENTS = (-330, -320, -310, -200, -160, -80, -2, 0, 2, 78, 80, 154, 156,
+              306, 310, 330)
+
+
+@pytest.mark.parametrize("e", _EXPONENTS)
+def test_every_magnitude_of_a2c_is_solved_or_refused_typed(tmp_path, capsys,
+                                                           e):
+    # the magnitude rides on a (a^2 = 10^e) or on c (c = 10^e); iso-check
+    # carries it on its source and on its target; under warnings-as-errors
+    a = (_magnitude(e // 2), "1", "1")
+    c = ("1", "1", _magnitude(e))
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(f"[s]\na = {a[0]}\nb = 1\nc = 1\n")
+    refused = f"a^2 c = {Q(Fraction(10) ** e)} puts its grid beyond the floats"
+    in_floats = -324 < e < 308
+    runs = [
+        (["spectrum", "--a", a[0], "--b", a[1], "--c", a[2], "--levels", "2"],
+         in_floats),
+        (["spectrum", "--a", c[0], "--b", c[1], "--c", c[2], "--levels", "2"],
+         in_floats),
+        (["iso-check", "--src", ",".join(a), "--dst", "-2i,1,1", "-k", "2"],
+         True),
+        (["iso-check", "--src", "i,1,1", "--dst", ",".join(c), "-k", "2"],
+         True),
+        (["sweep", "--config", str(cfg), "--levels", "2"], in_floats),
+    ]
+    for i, (argv, solved) in enumerate(runs):
+        out = tmp_path / str(i)
+        code = main([*argv, "--grid-n", "401", "--out", str(out)])
+        printed = capsys.readouterr().out
+        json.loads(printed, parse_constant=_no_constant)
+        if solved:
+            assert code == 0, argv
+            assert_finite_outputs(printed, out)
+            if argv[0] == "iso-check":
+                assert json.loads(printed)["max_deviation"] == 0.0
+        else:
+            assert code == 2 and not out.exists(), argv
+            err = json.loads(printed)["error"]
+            assert (err["type"], err["message"]) == ("ValidationError",
+                                                     refused), argv
 
 
 @pytest.mark.parametrize("n", ["0", "1"])

@@ -9,9 +9,10 @@ from ptcontour.catalog import (ADJACENT, LOWER_PT, LOWER_PT_B5, SQRT_IX,
 from ptcontour.errors import PushforwardMismatch
 from ptcontour.isomap import (IsoMap, map_params, push_metric, push_wavefn,
                               verify_isometry)
-from ptcontour.metric import (amplitude, default_momentum_grid, eigenbasis,
-                              metric_of)
-from ptcontour.opalg import hermitian_form, hermitize
+from ptcontour.metric import (TaggedWaveFn, amplitude, default_momentum_grid,
+                              eigenbasis, metric_of, simpson_weights)
+from ptcontour.opalg import (UNIT_FORM, dyson_coefficients, hermitian_form,
+                             hermitize)
 from ptcontour.rational import GaussianRational as Q, I
 from ptcontour.reference import REFERENCE_LEVELS
 from ptcontour.spectral import _STENCILS, eigensolve_hermitian, matrixize
@@ -134,10 +135,12 @@ def test_push_wavefn_exponent_transport():
 def test_push_wavefn_negative_beta_parity_fold():
     u = eigenbasis(ADJACENT, 3, default_momentum_grid(ADJACENT))
     pushed = push_wavefn(map_params(ADJACENT, LOWER_PT), u)   # beta = -4
-    scale = 2.0                                               # |beta|^(1/2)
-    # every row is reversed on its own: the fold acts on p only
-    assert np.array_equal(pushed.factor, u.factor[:, ::-1] / scale)
-    assert pushed.grid.hi == 4 * u.grid.hi
+    # the samples stay as they are: the fold acts on their momenta only,
+    # which are -4 times the source's, so they run from +16 down to -16
+    assert pushed.factor is u.factor and pushed.grid == u.grid
+    assert pushed.scale == -4 * u.scale
+    assert np.array_equal(pushed.points(), -4 * u.points())
+    assert pushed.points()[0] == 4 * u.grid.hi
     # exponent: (2/3)/(-64) = -1/96 on the cubic; 1/(-4) + 5/4 = 1 on p
     assert pushed.exponent == (Fraction(0), Fraction(1), Fraction(0),
                                Fraction(-1, 96))
@@ -223,3 +226,62 @@ def test_discrete_transport_is_exact():
         if map_params(src, dst).beta < 0:
             pushed = [row[::-1] for row in pushed[::-1]]
         assert bands[dst] == pushed, (src.label(), dst.label())
+
+
+# --- one band for every contour --------------------------------------------------
+
+def unit_band(n):
+    return matrixize(UNIT_FORM, default_momentum_grid(SQRT_IX, n))
+
+
+def own_band(params, n):
+    """The band of the contour's own Hermitian equivalent on its own default
+    grid, mirrored when a^2 c < 0 so that it reads in the unit momenta."""
+    band = matrixize(hermitian_form(params), default_momentum_grid(params, n))
+    return band if params.invariants()[0] > 0 else band[::-1, ::-1]
+
+
+@pytest.mark.parametrize("n", [801, 1201])
+def test_every_catalog_band_is_the_unit_band_bitwise(n):
+    # a^2 c is -4, -1 or 1 on the catalog: a power-of-two dilation, which
+    # the odd grid points carry exactly
+    unit = unit_band(n)
+    for params in STANDARD_FIVE:
+        assert np.array_equal(own_band(params, n), unit), params.label()
+
+
+def test_every_random_band_is_the_unit_band_to_rounding():
+    # entry by entry within 1e-15 relative (measured 4.3e-16 at most; 17 of
+    # these 105 bands are bitwise equal)
+    unit = unit_band(801)
+    for params in random_contours(100):
+        assert (np.abs(own_band(params, 801) - unit)
+                <= 1e-15 * np.abs(unit)).all(), params.label()
+
+
+def own_basis(params, k, n):
+    """The target's eigenbasis from its own band solved directly, the path
+    the package took before it solved the unit band alone, read in the unit
+    momenta and normalized as eigenbasis does."""
+    vecs = eigensolve_hermitian(own_band(params, n), k).eigenvectors.T.real
+    grid = default_momentum_grid(SQRT_IX, n)
+    w = simpson_weights(n, grid.spacing)
+    vecs = vecs / np.sqrt((w * vecs * vecs).sum(-1))[:, None]
+    lam, _ = params.invariants()
+    f, g = dyson_coefficients(params)
+    return TaggedWaveFn(grid=grid, factor=vecs, scale=lam,
+                        exponent=(Fraction(0), -g, Fraction(0), -f))
+
+
+def test_transported_bases_are_each_targets_own_basis():
+    # the paper's claim read directly: the source basis carried onto each
+    # target has the amplitudes, under the target's metric, of the target's
+    # own eigenbasis, up to the sign of each vector (moduli are compared)
+    k, n = 4, 1201
+    worst = 0.0
+    for src, dst in permutations(STANDARD_FIVE, 2):
+        pushed = push_wavefn(map_params(src, dst),
+                             eigenbasis(src, k, default_momentum_grid(src, n)))
+        c = amplitude(own_basis(dst, k, n), pushed, metric_of(dst))
+        worst = max(worst, np.abs(np.abs(c) - np.eye(k)).max())
+    assert worst < 1e-13        # measured 4.0e-14 on every pair

@@ -179,7 +179,7 @@ def broadcast_amplitudes(u, v, eta):
     w = simpson_weights(u.grid.n, u.grid.spacing)
     combined = _combined_exponent(u, v, eta)
     if any(combined):
-        w = w * np.exp(_poly_eval(combined, u.grid.points()))
+        w = w * np.exp(_poly_eval(combined, u.grid.points(), u.scale))
     return (w * (np.conj(u.factor)[:, None] * v.factor)).sum(-1).astype(complex)
 
 
@@ -206,7 +206,8 @@ def test_amplitude_rows_match_the_broadcast_product_bitwise():
                      for rows in (k, m)]
             eta = MetricSpec(*random_exponent(rng)[::3])
             combined = _combined_exponent(*bases, eta)
-            if (any(combined) and _poly_eval(combined, grid.points()).max()
+            if (any(combined) and _poly_eval(combined, grid.points(),
+                                             Fraction(1)).max()
                     < _EXP_OVERFLOW):
                 break
         mat = amplitude(*bases, eta)
@@ -255,8 +256,8 @@ def log_magnitude_amplitudes(basis, eta):
     """Reference: each pair's cross product re-weighted by its combined
     exponent in log-magnitude form, with zero-magnitude samples masked."""
     from ptcontour.metric import _combined_exponent, _poly_eval
-    pts = basis.grid.points()
-    e = _poly_eval(_combined_exponent(basis, basis, eta), pts)
+    e = _poly_eval(_combined_exponent(basis, basis, eta), basis.points(),
+                   Fraction(1))
     w = simpson_weights(basis.grid.n, basis.grid.spacing)
     k = len(basis.factor)
     out = np.zeros((k, k), dtype=complex)

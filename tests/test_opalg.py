@@ -12,14 +12,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ptcontour.errors import NonHermitianRho, NonTerminating, NotHermitizable
+import ptcontour.opalg as opalg
+from ptcontour.errors import (NonHermitianRho, NonTerminating,
+                              NotHermitizable, PushforwardMismatch)
 from ptcontour.catalog import (ADJACENT, LOWER_PT, LOWER_PT_B5, SQRT_IX,
                                STANDARD_FIVE, UPPER_PT)
-from ptcontour.opalg import (ANCHOR, ContourParams,
+from ptcontour.opalg import (ANCHOR, UNIT_FORM, ContourParams,
                              OperatorExpr, adjoint, bch_conjugate, build_h1,
                              _reorder_p_x, canonical_swap, commutator,
                              dyson_coefficients, hermitian_form, hermitize,
-                             is_hermitian, multiply)
+                             is_hermitian, multiply, unit_dilation)
 from ptcontour.rational import GaussianRational as Q
 
 X = OperatorExpr.x()
@@ -362,3 +364,46 @@ def test_canonical_swap_parity_flag_on_parity_image():
                              for (m, n), c in h.terms.items()})
     with pytest.raises(ValueError, match=r"missed the anchor: p\^2 \+ 2\*x"):
         canonical_swap(mirrored, UPPER_PT)
+
+
+# --- the unit form and its dilation -------------------------------------------------
+
+def covariance_mutant(params):
+    """hermitian_form with ``2 / lam`` miscopied as ``2 / abs(lam)``: wrong
+    exactly for the contours with a^2 c < 0."""
+    lam, _ = params.invariants()
+    return OperatorExpr({(0, 1): 2 / abs(lam), (2, 0): lam ** 2,
+                         (0, 4): 4 / lam ** 4})
+
+
+def test_unit_form_is_the_hermitian_equivalent_of_a2c_one():
+    assert UNIT_FORM == hermitian_form(SQRT_IX) == hermitize(SQRT_IX).h
+    assert list(UNIT_FORM.terms) == list(hermitian_form(SQRT_IX).terms)
+
+
+def test_unit_dilation_is_a2c_for_every_catalog_contour():
+    for params in STANDARD_FIVE:
+        assert unit_dilation(params) == params.invariants()[0]
+
+
+def test_unit_dilation_refuses_the_covariance_mutant(monkeypatch):
+    monkeypatch.setattr(opalg, "hermitian_form", covariance_mutant)
+    for params in STANDARD_FIVE:
+        if params.invariants()[0] > 0:
+            assert unit_dilation(params) == params.invariants()[0]
+        else:
+            with pytest.raises(PushforwardMismatch,
+                               match=r"not the unit form dilated by a\^2 c"):
+                unit_dilation(params)
+
+
+def test_invariants_are_computed_once_and_raise_on_every_call():
+    params = ContourParams(Q(0, -2), Q(5), Q(1))
+    assert params.invariants() is params.invariants()
+    assert params.a2c is params.a2c and params.b_over_c is params.b_over_c
+    for bad, error in [(ContourParams(Q(1), Q(1), Q(0, 1)), NotHermitizable),
+                       (ContourParams(Q(0, -2), Q(0, 1), Q(1)),
+                        NonHermitianRho)]:
+        for _ in range(2):
+            with pytest.raises(error):
+                bad.invariants()

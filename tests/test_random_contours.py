@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import ptcontour.metric as metric
+import ptcontour.opalg as opalg
 from ptcontour.catalog import LOWER_PT, STANDARD_FIVE
 from ptcontour.errors import PtContourError
 from ptcontour.isomap import map_params, push_metric, verify_isometry
@@ -69,9 +70,10 @@ def test_exact_identities_on_random_contours():
 
 def test_closed_form_band_has_the_bits_of_the_commutator_series(
         monkeypatch):
-    # the numeric paths build their band from hermitian_form; its terms come
-    # in the order hermitize's series yields them, and matrixize adds terms
-    # in order, so the band keeps its bits
+    # hermitian_form's terms come in the order hermitize's series yields
+    # them, and matrixize adds terms in order, so the band keeps its bits;
+    # the gate of every basis reads hermitian_form, and with the series'
+    # operator in its place each basis keeps its bits too
     draws = [*STANDARD_FIVE, *random_contours(100)]
     for params in draws:
         h = hermitize(params).h
@@ -84,7 +86,7 @@ def test_closed_form_band_has_the_bits_of_the_commutator_series(
         grid = default_momentum_grid(params, n=401)
         basis = eigenbasis(params, 5, grid)
         with monkeypatch.context() as m:
-            m.setattr(metric, "hermitian_form", lambda p: hermitize(p).h)
+            m.setattr(opalg, "hermitian_form", lambda p: hermitize(p).h)
             m.setattr(metric, "dyson_coefficients",
                       lambda p: tuple(hermitize(p))[1:])
             ref = eigenbasis(params, 5, grid)

@@ -86,9 +86,11 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         Grid("angle", -1.0, 1.0, 32)
     g = Grid("momentum", -2.0, 2.0, 17)
-    assert g.symmetric
     assert abs(g.spacing - 0.25) < 1e-15
     assert len(g.points()) == 17
+    # exactly odd: the mirror image of a symmetric grid holds its floats
+    pts = Grid("momentum", -4.0, 4.0, 1201).points()
+    assert np.array_equal(pts, -pts[::-1]) and (pts[0], pts[-1]) == (-4, 4)
 
 
 # --- matrixize ---------------------------------------------------------------

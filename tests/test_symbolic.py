@@ -22,7 +22,7 @@ from ptcontour.isomap import map_params
 from ptcontour.metric import metric_of
 from ptcontour.opalg import (ANCHOR, OperatorExpr, build_h1, canonical_swap,
                              dyson_coefficients, hermitian_form, hermitize,
-                             is_hermitian)
+                             is_hermitian, unit_dilation)
 from ptcontour.rational import I
 
 
@@ -57,6 +57,9 @@ def test_hermitian_equivalent_for_every_contour():
     assert all(c.symbols() <= {"lam"} for c in h.terms.values())   # no beta
     assert h == hermitian_form(p)
     assert canonical_swap(h, p) == ANCHOR
+    # the gate of every numeric result: each contour's Hermitian equivalent
+    # is the unit form dilated by lam, so the gate never refuses a contour
+    assert unit_dilation(p) == lam
 
 
 def test_generator_and_metric_for_every_contour():
