@@ -207,11 +207,10 @@ def _unit_spectrum(levels: int, n: int) -> SpectrumResult:
     return eigensolve_hermitian(matrixize(UNIT_FORM, grid), levels)
 
 
-def _spectrum_payload(params: ContourParams, levels: int, grid: Grid,
-                      solve=_unit_spectrum):
-    """The spectrum of a gated contour on its grid, from ``solve``."""
-    result = solve(levels, grid.n)
-    ref = reference.REFERENCE_LEVELS[:levels]
+def _spectrum_payload(params: ContourParams, grid: Grid,
+                      result: SpectrumResult):
+    """The spectrum of a gated contour on its grid, from the unit solve."""
+    ref = reference.REFERENCE_LEVELS[:len(result.eigenvalues)]
     rel = max(abs(ev.real - r) / abs(r)
               for ev, r in zip(result.eigenvalues, ref))
     return {"command": "spectrum",
@@ -227,7 +226,8 @@ def _cmd_spectrum(args):
     from .metric import default_momentum_grid
     grid = default_momentum_grid(params, n=args.grid_n)
     unit_dilation(params)
-    payload = _spectrum_payload(params, args.levels, grid)
+    payload = _spectrum_payload(params, grid,
+                                _unit_spectrum(args.levels, grid.n))
     rows = [(i, ev["re"], ev["im"], res)
             for i, (ev, res) in enumerate(zip(payload["eigenvalues"],
                                               payload["residuals"]))]
@@ -368,7 +368,7 @@ def _cmd_sweep(args):
         unit_dilation(params)
         jobs.append((section, params, levels, grid))
     solve = functools.cache(_unit_spectrum)     # one solve per (levels, n)
-    spectra = {section: _spectrum_payload(params, levels, grid, solve)
+    spectra = {section: _spectrum_payload(params, grid, solve(levels, grid.n))
                for section, params, levels, grid in jobs}
     payload = {"command": "sweep", "sections": {
         section: {key: spectrum[key]

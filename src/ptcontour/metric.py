@@ -3,7 +3,7 @@
 A basis of wavefunctions is stored factored: one row per function of a
 smooth, numerically tame factor on a grid, with one exact cubic exponent
 and one exact scale, a sample's momentum per grid unit, that all rows
-share: every contour's basis is the unit form's on [-4, 4] scaled by a^2 c.
+share: every contour's basis is the unit form's on its grid scaled by a^2 c.
 Transition amplitudes add the bra, ket and metric exponents as exact
 rationals first; for every matched contour/metric pair the sum cancels to
 zero identically, so the amplitudes, summed in grid units where the scale
@@ -46,7 +46,11 @@ def _poly_eval(coeffs: tuple[Fraction, ...], q: np.ndarray,
     """The polynomial at p = scale * q, from its exact coefficients in q."""
     out = np.zeros_like(q, dtype=float)
     for k, c in reversed(list(enumerate(coeffs))):
-        out = out * q + float(c * scale ** k)
+        try:
+            out = out * q + float(c * scale ** k)
+        except OverflowError:
+            raise ValidationError(f"exponent coefficient {c * scale ** k} "
+                                  f"of q^{k} is beyond the floats") from None
     return out
 
 
@@ -74,7 +78,15 @@ class TaggedWaveFn:
 
     def points(self) -> np.ndarray:
         """The momenta p = scale * q of the samples, as floats."""
-        return float(self.scale) * self.grid.points()
+        try:
+            with np.errstate(over="raise"):
+                p = float(self.scale) * self.grid.points()
+            if p.any():             # not underflowed to 0
+                return p
+        except (OverflowError, FloatingPointError):
+            pass
+        raise ValidationError(f"scale {self.scale} puts the momenta "
+                              f"beyond the floats")
 
     def exponent_values(self) -> np.ndarray:
         return _poly_eval(self.exponent, self.grid.points(), self.scale)
@@ -88,15 +100,15 @@ class TaggedWaveFn:
 
 def eigenbasis(params: ContourParams, k: int, grid: Grid) -> TaggedWaveFn:
     """The lowest k eigenfunctions of the transformed Hamiltonian on a
-    contour, as one basis sampled on a grid of the contour's momenta.
+    contour, as one basis on ``grid``, which is in grid units.
 
     Diagonalizes :data:`~ptcontour.opalg.UNIT_FORM` in momentum
-    representation (real orthonormal eigenvectors) on the grid divided by
-    a^2 c, exact for :func:`default_momentum_grid`, and scales the basis by
-    the a^2 c that :func:`~ptcontour.opalg.unit_dilation` gates; the
-    exponent -(f p^3 + g p), (f, g) from :func:`dyson_coefficients`, undoes
-    the similarity transformation.  Level i is C-contiguous factor row i,
-    normalized against the Simpson weights of its grid and phased so its
+    representation (real orthonormal eigenvectors) on ``grid`` and gives
+    the basis the scale a^2 c that :func:`~ptcontour.opalg.unit_dilation`
+    gates, so every admissible contour has one.  The exponent
+    -(f p^3 + g p), (f, g) from :func:`dyson_coefficients`, undoes the
+    similarity transformation.  Level i is C-contiguous factor row i,
+    normalized against the Simpson weights of the grid and phased so its
     largest sample is positive.
     """
     if grid.variable != "momentum":
@@ -105,13 +117,12 @@ def eigenbasis(params: ContourParams, k: int, grid: Grid) -> TaggedWaveFn:
         raise ValueError("eigenbasis requires an odd point count (Simpson)")
     lam = unit_dilation(params)
     cubic, linear = dyson_coefficients(params)
-    unit = Grid("momentum", *sorted([grid.lo / lam, grid.hi / lam]), grid.n)
-    vecs = eigensolve_hermitian(matrixize(UNIT_FORM, unit), k).eigenvectors
-    w = simpson_weights(unit.n, unit.spacing)
+    vecs = eigensolve_hermitian(matrixize(UNIT_FORM, grid), k).eigenvectors
+    w = simpson_weights(grid.n, grid.spacing)
     f = vecs.T.astype(float, order="C")
     f /= np.sqrt((w * f * f).sum(-1))[:, None]
     f[f[np.arange(k), np.abs(f).argmax(-1)] < 0] *= -1.0
-    return TaggedWaveFn(grid=unit, factor=f, scale=lam,
+    return TaggedWaveFn(grid=grid, factor=f, scale=lam,
                         exponent=(Fraction(0), -linear, Fraction(0), -cubic))
 
 

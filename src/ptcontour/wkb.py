@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import TAG_PARAMS, TAGS
+from .catalog import SQRT_IX, TAG_PARAMS, TAGS
 from .errors import PtContourError
 from .metric import default_momentum_grid, eigenbasis
 from .opalg import metric_of
@@ -148,7 +148,7 @@ def compare_to_numeric(tag: str) -> list[TailComparison]:
     """
     _check(tag)
     params = TAG_PARAMS[tag]
-    u = eigenbasis(params, 1, default_momentum_grid(params))
+    u = eigenbasis(params, 1, default_momentum_grid(SQRT_IX))
     pts = u.points()
     ground = u.factor[0]
     log_factor = np.full(len(pts), -np.inf)

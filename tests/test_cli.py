@@ -458,6 +458,26 @@ def test_exit_code_zero_levels(tmp_path, capsys, argv, message):
     assert err["message"] == message
 
 
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["iso-check", "--src", "1,1,1", "--dst", "-2i,1,1",
+                  "--grid-n", "400"],
+                 "eigenbasis requires an odd point count (Simpson)",
+                 id="iso-check-even-grid"),
+    pytest.param(["wedges", "--a", "1", "--b", "1", "--c", "1+i"],
+                 "endpoint angles require real c", id="wedges-complex-c"),
+])
+def test_exit_code_library_value_error(tmp_path, capsys, argv, message):
+    # a bare ValueError of the library is a validation failure: exit 2, its
+    # type and message printed, and no --out
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert (err["kind"], err["type"], err["message"]) == ("validation",
+                                                          "ValueError",
+                                                          message)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("formats", ["jsn", "json,png"])
 def test_unknown_format_rejected_before_any_work(tmp_path, capsys,
                                                   monkeypatch, formats):

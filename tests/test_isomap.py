@@ -7,12 +7,11 @@ import pytest
 from ptcontour.catalog import (ADJACENT, LOWER_PT, LOWER_PT_B5, SQRT_IX,
                                STANDARD_FIVE, UPPER_PT)
 from ptcontour.errors import PushforwardMismatch
-from ptcontour.isomap import (IsoMap, map_params, push_metric, push_wavefn,
-                              verify_isometry)
+from ptcontour.isomap import IsoMap, map_params, push_wavefn, verify_isometry
 from ptcontour.metric import (TaggedWaveFn, amplitude, default_momentum_grid,
                               eigenbasis, metric_of, simpson_weights)
 from ptcontour.opalg import (UNIT_FORM, dyson_coefficients, hermitian_form,
-                             hermitize)
+                             hermitize, push_metric)
 from ptcontour.rational import GaussianRational as Q, I
 from ptcontour.reference import REFERENCE_LEVELS
 from ptcontour.spectral import _STENCILS, eigensolve_hermitian, matrixize
@@ -114,8 +113,25 @@ def test_push_metric_functorial():
 
 # --- wavefunction transport ------------------------------------------------------
 
+#: the unit grid [-4, 4]: every contour's basis lives on it, scaled by a^2 c
+UNIT = default_momentum_grid(SQRT_IX)
+
+
+def test_eigenbasis_is_the_unit_basis_carried_onto_its_contour():
+    # one path to a contour's basis: the unit form solved on the grid and
+    # scaled by a^2 c is the unit contour's basis pushed along the exact map
+    # onto the contour
+    unit = eigenbasis(SQRT_IX, 4, UNIT)
+    for params in [*STANDARD_FIVE, *random_contours(100)]:
+        basis = eigenbasis(params, 4, UNIT)
+        ref = push_wavefn(map_params(SQRT_IX, params), unit)
+        assert basis.grid == ref.grid == UNIT
+        assert basis.factor.tobytes() == ref.factor.tobytes(), params.label()
+        assert (basis.exponent, basis.scale) == (ref.exponent, ref.scale)
+
+
 def test_push_wavefn_identity():
-    u = eigenbasis(LOWER_PT, 3, default_momentum_grid(LOWER_PT))
+    u = eigenbasis(LOWER_PT, 3, UNIT)
     pushed = push_wavefn(map_params(LOWER_PT, LOWER_PT), u)
     assert pushed.grid == u.grid
     assert pushed.exponent == u.exponent
@@ -124,7 +140,7 @@ def test_push_wavefn_identity():
 
 def test_push_wavefn_exponent_transport():
     # beta = 4, gamma = 3/4 carries -(2/3)p^3 + p onto -(1/96)p^3 + p exactly
-    u = eigenbasis(UPPER_PT, 1, default_momentum_grid(UPPER_PT))
+    u = eigenbasis(UPPER_PT, 1, UNIT)
     assert u.exponent == (Fraction(0), Fraction(1), Fraction(0),
                           Fraction(-2, 3))
     pushed = push_wavefn(map_params(UPPER_PT, LOWER_PT), u)
@@ -133,7 +149,7 @@ def test_push_wavefn_exponent_transport():
 
 
 def test_push_wavefn_negative_beta_parity_fold():
-    u = eigenbasis(ADJACENT, 3, default_momentum_grid(ADJACENT))
+    u = eigenbasis(ADJACENT, 3, UNIT)
     pushed = push_wavefn(map_params(ADJACENT, LOWER_PT), u)   # beta = -4
     # the samples stay as they are: the fold acts on their momenta only,
     # which are -4 times the source's, so they run from +16 down to -16
@@ -147,7 +163,7 @@ def test_push_wavefn_negative_beta_parity_fold():
 
 
 def test_push_wavefn_norm_preserved():
-    u = eigenbasis(UPPER_PT, 3, default_momentum_grid(UPPER_PT))
+    u = eigenbasis(UPPER_PT, 3, UNIT)
     m = map_params(UPPER_PT, LOWER_PT)
     pushed = push_wavefn(m, u)
     val = amplitude(pushed, pushed, metric_of(LOWER_PT))
@@ -281,7 +297,7 @@ def test_transported_bases_are_each_targets_own_basis():
     worst = 0.0
     for src, dst in permutations(STANDARD_FIVE, 2):
         pushed = push_wavefn(map_params(src, dst),
-                             eigenbasis(src, k, default_momentum_grid(src, n)))
+                             eigenbasis(src, k, default_momentum_grid(SQRT_IX, n)))
         c = amplitude(own_basis(dst, k, n), pushed, metric_of(dst))
         worst = max(worst, np.abs(np.abs(c) - np.eye(k)).max())
     assert worst < 1e-13        # measured 4.0e-14 on every pair

@@ -8,7 +8,8 @@ import pytest
 
 from ptcontour.catalog import (ADJACENT, LOWER_PT, LOWER_PT_B5, SQRT_IX,
                                STANDARD_FIVE, UPPER_PT)
-from ptcontour.errors import NonHermitianRho, NonIntegrable, NotHermitizable
+from ptcontour.errors import (NonHermitianRho, NonIntegrable, NotHermitizable,
+                              ValidationError)
 from ptcontour.metric import (MetricSpec, TaggedWaveFn, amplitude,
                               default_momentum_grid, eigenbasis,
                               exact_hermite_norm, hermite_demo,
@@ -75,13 +76,17 @@ def test_simpson_rejects_even_count():
 
 # --- eigenbasis ----------------------------------------------------------------------
 
+#: the unit grid [-4, 4]: every contour's basis lives on it, scaled by a^2 c
+UNIT = default_momentum_grid(SQRT_IX)
+
+
 def row(basis, i):
     """The one-row basis holding function i of ``basis``."""
     return replace(basis, factor=basis.factor[i:i + 1])
 
 
 def test_eigenbasis_exponent_reference():
-    grid = default_momentum_grid(LOWER_PT)
+    grid = UNIT
     basis = eigenbasis(LOWER_PT, 3, grid)
     assert basis.factor.shape == (3, grid.n)
     assert basis.factor.flags.c_contiguous
@@ -91,14 +96,14 @@ def test_eigenbasis_exponent_reference():
 
 
 def test_eigenbasis_exponent_adjacent():
-    u = eigenbasis(ADJACENT, 1, default_momentum_grid(ADJACENT))
+    u = eigenbasis(ADJACENT, 1, UNIT)
     assert u.exponent == (Fraction(0), Fraction(1), Fraction(0),
                           Fraction(2, 3))
 
 
 def test_eigenbasis_factor_norms():
     for params in (LOWER_PT, UPPER_PT, ADJACENT):
-        u = eigenbasis(params, 3, default_momentum_grid(params))
+        u = eigenbasis(params, 3, UNIT)
         w = simpson_weights(u.grid.n, u.grid.spacing)
         for f in u.factor:
             norm = float(np.sum(w * np.abs(f) ** 2))
@@ -106,9 +111,70 @@ def test_eigenbasis_factor_norms():
 
 
 def test_eigenbasis_phase_convention():
-    for f in eigenbasis(LOWER_PT, 3, default_momentum_grid(LOWER_PT)).factor:
+    for f in eigenbasis(LOWER_PT, 3, UNIT).factor:
         peak = f[int(np.argmax(np.abs(f)))]
         assert peak.real > 0 and abs(peak.imag) == 0
+
+
+def test_eigenbasis_lives_on_the_grid_it_is_given():
+    # the grid is in grid units: a sample's momentum is a^2 c = -4 times it
+    grid = Grid("momentum", -3.0, 5.0, 401)
+    basis = eigenbasis(LOWER_PT, 3, grid)
+    assert basis.grid == grid and basis.scale == -4
+    assert np.array_equal(basis.points(), -4.0 * grid.points())
+
+
+@pytest.mark.parametrize("carrier", ["a", "c"])
+@pytest.mark.parametrize("e", [400, -400])
+def test_eigenbasis_of_a2c_beyond_the_floats(e, carrier):
+    # a^2 c = 10^e on a (a = 10^(e/2)) or on c: the basis is the unit one
+    # with that exact scale, its amplitudes under its own metric are the
+    # unit contour's bit for bit, and only its momenta leave the floats
+    a2c = Fraction(10) ** e
+    params = (ContourParams(Q(Fraction(10) ** (e // 2)), Q(1), Q(1))
+              if carrier == "a" else ContourParams(Q(1), Q(1), Q(a2c)))
+    basis = eigenbasis(params, 4, UNIT)
+    unit = eigenbasis(SQRT_IX, 4, UNIT)
+    assert basis.scale == a2c and basis.grid == UNIT
+    assert (amplitude(basis, basis, metric_of(params)).tobytes()
+            == amplitude(unit, unit, metric_of(SQRT_IX)).tobytes())
+    with pytest.raises(ValidationError) as info:
+        basis.points()
+    assert str(info.value) == f"scale {a2c} puts the momenta beyond the floats"
+
+
+@pytest.mark.parametrize("e", [200, 400])
+def test_values_beyond_the_floats_are_typed_errors(e):
+    # exponent p^3 on a basis of scale 10^e: its grid-unit coefficient
+    # 10^(3e) leaves the floats; at 10^400 the momenta leave them too
+    scale = Fraction(10) ** e
+    grid = Grid("momentum", -1.0, 1.0, 17)
+    u = TaggedWaveFn(grid=grid, factor=np.ones((1, grid.n)), scale=scale,
+                     exponent=(Fraction(0),) * 3 + (Fraction(1),))
+    zero = MetricSpec(kappa3=Fraction(0), kappa1=Fraction(0))
+    calls = [(u.exponent_values, scale ** 3), (u.log_abs, scale ** 3),
+             (lambda: amplitude(u, u, zero), 2 * scale ** 3)]
+    for call, coefficient in calls:
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == (f"exponent coefficient {coefficient} of "
+                                   f"q^3 is beyond the floats")
+    if e == 200:
+        assert np.array_equal(u.points(), float(scale) * grid.points())
+    else:
+        with pytest.raises(ValidationError) as info:
+            u.points()
+        assert str(info.value) == (f"scale {scale} puts the momenta beyond "
+                                   f"the floats")
+
+
+def test_momenta_that_overflow_on_the_grid_are_typed_errors():
+    # the scale 10^307 is a float, but 100 times it is not
+    grid = Grid("momentum", -100.0, 100.0, 17)
+    u = TaggedWaveFn(grid=grid, factor=np.ones((1, grid.n)),
+                     scale=Fraction(10) ** 307, exponent=(Fraction(0),) * 4)
+    with pytest.raises(ValidationError, match="momenta beyond the floats"):
+        u.points()
 
 
 def test_eigenbasis_requires_momentum_grid():
@@ -127,20 +193,20 @@ def test_tagged_wavefn_rejects_factor_off_the_grid(shape):
 # --- amplitudes -------------------------------------------------------------------
 
 def test_amplitude_normalization():
-    basis = eigenbasis(LOWER_PT, 2, default_momentum_grid(LOWER_PT))
+    basis = eigenbasis(LOWER_PT, 2, UNIT)
     eta = metric_of(LOWER_PT)
     assert abs(amplitude(basis, basis, eta)[0, 0] - 1.0) < 1e-12
 
 
 def test_amplitude_orthogonality():
-    basis = eigenbasis(LOWER_PT, 2, default_momentum_grid(LOWER_PT))
+    basis = eigenbasis(LOWER_PT, 2, UNIT)
     eta = metric_of(LOWER_PT)
     assert abs(amplitude(basis, basis, eta)[0, 1]) < 1e-8
 
 
 def test_amplitude_matrix_identity_for_every_contour():
     for params in STANDARD_FIVE:
-        basis = eigenbasis(params, 4, default_momentum_grid(params))
+        basis = eigenbasis(params, 4, UNIT)
         mat = amplitude(basis, basis, metric_of(params))
         assert mat.dtype == complex
         assert np.abs(mat - np.eye(4)).max() < 1e-8
@@ -163,7 +229,7 @@ def test_amplitude_matrix_is_one_product_over_matched_bases():
     from ptcontour.isomap import map_params, push_wavefn
     cases = []
     for src in STANDARD_FIVE:
-        basis = eigenbasis(src, 4, default_momentum_grid(src))
+        basis = eigenbasis(src, 4, UNIT)
         cases.append((basis, metric_of(src)))
         cases += [(push_wavefn(map_params(src, dst), basis), metric_of(dst))
                   for dst in STANDARD_FIVE]
@@ -219,7 +285,7 @@ def test_amplitude_temporaries_are_one_bra_row():
     # k = 12 levels on 4001 points: the temporaries of one row, not the
     # (k, k, n) product (8.9 MB when it was formed whole)
     import tracemalloc
-    grid = default_momentum_grid(LOWER_PT, n=4001)
+    grid = default_momentum_grid(SQRT_IX, n=4001)
     basis = eigenbasis(LOWER_PT, 12, grid)
     eta = metric_of(LOWER_PT)
     tracemalloc.start()
@@ -232,14 +298,14 @@ def test_amplitude_temporaries_are_one_bra_row():
 
 
 def test_amplitude_matrix_of_mixed_grids_raises():
-    a = eigenbasis(LOWER_PT, 1, default_momentum_grid(LOWER_PT))
-    b = eigenbasis(UPPER_PT, 2, default_momentum_grid(UPPER_PT))
+    a = eigenbasis(LOWER_PT, 1, UNIT)
+    b = eigenbasis(UPPER_PT, 2, UNIT)
     with pytest.raises(ValueError, match="one grid"):
         amplitude(a, b, metric_of(LOWER_PT))
 
 
 def test_amplitude_of_two_bases_is_k_by_m():
-    grid = default_momentum_grid(LOWER_PT)
+    grid = UNIT
     basis = eigenbasis(LOWER_PT, 3, grid)
     eta = metric_of(LOWER_PT)
     mat = amplitude(row(basis, 1), basis, eta)
@@ -278,7 +344,7 @@ def test_noncancelling_amplitudes_match_log_magnitude_form(wide_adjacent_basis):
     cases = [(wide_adjacent_basis, metric_of(SQRT_IX))]
     for params in STANDARD_FIVE:
         eta = MetricSpec(kappa3=Fraction(0), kappa1=metric_of(params).kappa1)
-        cases.append((eigenbasis(params, 4, default_momentum_grid(params)), eta))
+        cases.append((eigenbasis(params, 4, UNIT), eta))
     for basis, eta in cases:
         ref = log_magnitude_amplitudes(basis, eta)
         mat = amplitude(basis, basis, eta)
@@ -287,7 +353,7 @@ def test_noncancelling_amplitudes_match_log_magnitude_form(wide_adjacent_basis):
 
 
 def test_amplitude_conjugate_symmetry():
-    basis = eigenbasis(UPPER_PT, 3, default_momentum_grid(UPPER_PT))
+    basis = eigenbasis(UPPER_PT, 3, UNIT)
     mat = amplitude(basis, basis, metric_of(UPPER_PT))
     assert np.abs(mat - mat.conj().T).max() < 1e-12
 
@@ -296,7 +362,7 @@ def test_amplitude_exponent_cancellation_is_exact():
     # matched contour/metric pairs reduce to the combined exponent (0,0,0,0)
     from ptcontour.metric import _combined_exponent
     for params in STANDARD_FIVE:
-        u = eigenbasis(params, 1, default_momentum_grid(params))
+        u = eigenbasis(params, 1, UNIT)
         combined = _combined_exponent(u, u, metric_of(params))
         assert all(c == 0 for c in combined)
 
@@ -334,8 +400,8 @@ def test_amplitude_nonzero_exponent_small_case(wide_adjacent_basis):
 
 
 def test_amplitude_requires_shared_grid():
-    a = eigenbasis(LOWER_PT, 1, default_momentum_grid(LOWER_PT))
-    b = eigenbasis(UPPER_PT, 1, default_momentum_grid(UPPER_PT))
+    a = eigenbasis(LOWER_PT, 1, UNIT)
+    b = eigenbasis(UPPER_PT, 1, UNIT)
     with pytest.raises(ValueError):
         amplitude(a, b, metric_of(LOWER_PT))
 

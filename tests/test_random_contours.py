@@ -15,12 +15,13 @@ import pytest
 
 import ptcontour.metric as metric
 import ptcontour.opalg as opalg
-from ptcontour.catalog import LOWER_PT, STANDARD_FIVE
+from ptcontour.catalog import LOWER_PT, SQRT_IX, STANDARD_FIVE
 from ptcontour.errors import PtContourError
-from ptcontour.isomap import map_params, push_metric, verify_isometry
+from ptcontour.isomap import map_params, verify_isometry
 from ptcontour.metric import default_momentum_grid, eigenbasis, metric_of
 from ptcontour.opalg import (ANCHOR, ContourParams, canonical_swap,
-                             hermitian_form, hermitize, is_hermitian)
+                             hermitian_form, hermitize, is_hermitian,
+                             push_metric)
 from ptcontour.rational import GaussianRational as Q
 from ptcontour.spectral import Grid, eigensolve_hermitian, matrixize
 from test_spectral import assert_banded_levels, band_to_dense, banded_levels
@@ -83,7 +84,7 @@ def test_closed_form_band_has_the_bits_of_the_commutator_series(
         assert np.array_equal(matrixize(form, grid), matrixize(h, grid))
 
     for params in draws[:13]:
-        grid = default_momentum_grid(params, n=401)
+        grid = default_momentum_grid(SQRT_IX, n=401)
         basis = eigenbasis(params, 5, grid)
         with monkeypatch.context() as m:
             m.setattr(opalg, "hermitian_form", lambda p: hermitize(p).h)

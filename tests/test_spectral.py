@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ptcontour.catalog import LOWER_PT, STANDARD_FIVE
+from ptcontour.catalog import LOWER_PT, SQRT_IX, STANDARD_FIVE
 from ptcontour.errors import GridTooCoarse, NotConverged, NotHermitian
 from ptcontour.metric import default_momentum_grid, eigenbasis
 from ptcontour.opalg import (ANCHOR, ContourParams, OperatorExpr, build_h1,
@@ -478,7 +478,7 @@ def test_residual_gate_wired(monkeypatch):
     with pytest.raises(NotConverged, match="residual"):
         eigensolve_hermitian(matrixize(OSC, g), 3, grid=g)
     with pytest.raises(NotConverged, match="residual"):
-        eigenbasis(LOWER_PT, 2, default_momentum_grid(LOWER_PT, n=201))
+        eigenbasis(LOWER_PT, 2, default_momentum_grid(SQRT_IX, n=201))
 
 
 def test_hermitian_solve_memory_is_linear_in_n():
