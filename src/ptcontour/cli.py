@@ -12,7 +12,8 @@ of failing checks before it fails, because that report is its output.
 A subcommand imports the numeric modules it needs only once its literals
 are parsed: ``algebra-verify`` loads neither numpy nor LAPACK, ``wedges``,
 ``wkb`` and ``hermite-demo`` load numpy only, and the solving commands
-``spectrum``, ``iso-check`` and ``sweep`` load both.
+``spectrum``, ``iso-check`` and ``sweep`` load both.  :func:`main` parses
+with the invoked subcommand's parser alone; its texts are the full parser's.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical non-convergence,
 4 parse error.
@@ -396,76 +397,58 @@ def _absorb_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _add_common(sub):
-    sub.add_argument("--out", default="out", help="output directory")
-    sub.add_argument("--formats", default="json,csv,svg",
-                     help="comma-separated subset of json,csv,svg")
+_COMMON = (("--out", {"default": "out", "help": "output directory"}),
+           ("--formats", {"default": "json,csv,svg",
+                          "help": "comma-separated subset of json,csv,svg"}))
+_CONTOUR_ARGS = (("--a", {"required": True,
+                          "help": "complex literal, e.g. -2i"}),
+                 ("--b", {"required": True}), ("--c", {"required": True}))
+_LEVELS = ("--levels", {"type": int, "default": 5})
+_GRID_N = ("--grid-n", {"type": int, "default": 1201})
+
+#: each subcommand: its help, its handler and its arguments before _COMMON
+_COMMANDS = {
+    "algebra-verify": ("run every exact operator identity",
+                       _cmd_algebra_verify, ()),
+    "spectrum": ("diagonalize a contour's Hermitian equivalent",
+                 _cmd_spectrum, (*_CONTOUR_ARGS, _LEVELS, _GRID_N)),
+    "iso-check": ("verify amplitude preservation between contours",
+                  _cmd_iso_check,
+                  (("--src", {"required": True, "help": "a,b,c literals"}),
+                   ("--dst", {"required": True}),
+                   ("-k", {"type": int, "default": 3}), _GRID_N)),
+    "wedges": ("endpoint sector classification and figure", _cmd_wedges,
+               (*_CONTOUR_ARGS,
+                ("--branch", {"default": "principal",
+                              "choices": [b.value for b in Branch]}))),
+    "wkb": ("momentum-space profile curves", _cmd_wkb,
+            (("--tag", {"required": True, "choices": catalog.TAGS}),
+             ("--p-min", {"type": float, "default": -30.0}),
+             ("--p-max", {"type": float, "default": 30.0}),
+             ("--n", {"type": int, "default": 601}))),
+    "hermite-demo": ("weighted Hermite inner-product table",
+                     _cmd_hermite_demo,
+                     (("--n-max", {"type": int, "default": 5}),)),
+    "sweep": ("batch spectra from a config file", _cmd_sweep,
+              (("--config", {"required": True}), _LEVELS, _GRID_N)),
+}
 
 
-def _add_contour_args(sub):
-    sub.add_argument("--a", required=True, help="complex literal, e.g. -2i")
-    sub.add_argument("--b", required=True)
-    sub.add_argument("--c", required=True)
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone."""
     parser = argparse.ArgumentParser(
         prog="ptcontour",
         description="complex contours, metric operators and isomorphic "
                     "Hilbert spaces of the wrong-sign quartic oscillator")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("algebra-verify",
-                        help="run every exact operator identity")
-    _add_common(s)
-    s.set_defaults(func=_cmd_algebra_verify)
-
-    s = subs.add_parser("spectrum",
-                        help="diagonalize a contour's Hermitian equivalent")
-    _add_contour_args(s)
-    s.add_argument("--levels", type=int, default=5)
-    s.add_argument("--grid-n", type=int, default=1201)
-    _add_common(s)
-    s.set_defaults(func=_cmd_spectrum)
-
-    s = subs.add_parser("iso-check",
-                        help="verify amplitude preservation between contours")
-    s.add_argument("--src", required=True, help="a,b,c literals")
-    s.add_argument("--dst", required=True)
-    s.add_argument("-k", type=int, default=3)
-    s.add_argument("--grid-n", type=int, default=1201)
-    _add_common(s)
-    s.set_defaults(func=_cmd_iso_check)
-
-    s = subs.add_parser("wedges",
-                        help="endpoint sector classification and figure")
-    _add_contour_args(s)
-    s.add_argument("--branch", default="principal",
-                   choices=[b.value for b in Branch])
-    _add_common(s)
-    s.set_defaults(func=_cmd_wedges)
-
-    s = subs.add_parser("wkb", help="momentum-space profile curves")
-    s.add_argument("--tag", required=True, choices=catalog.TAGS)
-    s.add_argument("--p-min", type=float, default=-30.0)
-    s.add_argument("--p-max", type=float, default=30.0)
-    s.add_argument("--n", type=int, default=601)
-    _add_common(s)
-    s.set_defaults(func=_cmd_wkb)
-
-    s = subs.add_parser("hermite-demo",
-                        help="weighted Hermite inner-product table")
-    s.add_argument("--n-max", type=int, default=5)
-    _add_common(s)
-    s.set_defaults(func=_cmd_hermite_demo)
-
-    s = subs.add_parser("sweep", help="batch spectra from a config file")
-    s.add_argument("--config", required=True)
-    s.add_argument("--levels", type=int, default=5)
-    s.add_argument("--grid-n", type=int, default=1201)
-    _add_common(s)
-    s.set_defaults(func=_cmd_sweep)
-
+    subs = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_COMMANDS) + "}" if command else None)
+    for name in [command] if command else _COMMANDS:
+        help_text, func, arguments = _COMMANDS[name]
+        sub = subs.add_parser(name, help=help_text)
+        for flag, kwargs in (*arguments, *_COMMON):
+            sub.add_argument(flag, **kwargs)
+        sub.set_defaults(func=func)
     return parser
 
 
@@ -479,8 +462,8 @@ _ERROR_CODES = (
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(_absorb_values(argv))
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(_absorb_values(argv))
     try:
         args.formats = _formats(args.formats)
         text = args.func(args)

@@ -44,9 +44,8 @@ def push_wavefn(m: IsoMap, u: TaggedWaveFn) -> TaggedWaveFn:
 @dataclass(frozen=True)
 class IsometryReport:
     """Amplitude matrices before and after transport.  ``max_deviation`` is
-    0.0 by construction, so ``passed`` checks only the exact transport;
-    ``identity_deviation`` shows the basis' numerical health.
-    """
+    0.0 by construction (the transport is exact); ``passed`` also requires
+    ``identity_deviation``, the basis' numerical health, below 1e-6."""
 
     src: ContourParams
     dst: ContourParams
@@ -60,7 +59,7 @@ class IsometryReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_deviation < 1e-6
+        return self.max_deviation < 1e-6 and self.identity_deviation < 1e-6
 
 
 def verify_isometry(src: ContourParams, dst: ContourParams, k: int = 3,

@@ -1,16 +1,17 @@
 """Exact complex scalars with rational real and imaginary parts.
 
-Every coefficient in the operator algebra lives here.  Arithmetic is exact
-(built on ``fractions.Fraction``), so operator equality is decidable and the
-algebraic identities in the test suite hold with zero tolerance.
+Every coefficient in the operator algebra lives here.  Arithmetic is exact,
+so operator equality is decidable and the algebraic identities in the test
+suite hold with zero tolerance.  A scalar is one integer triple ``(re, im,
+den)``, the value ``(re + im i) / den`` in lowest terms with ``den > 0``:
+equality is tuple equality, and a product is a few integer operations and
+one gcd.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from numbers import Rational
-
-
-_RationalLike = (int, Fraction)
 
 
 class GaussianRational:
@@ -18,43 +19,55 @@ class GaussianRational:
 
     Immutable and hashable.  Supports +, -, *, /, integer powers,
     conjugation and exact comparison.  Mixed arithmetic with ``int`` and
-    ``Fraction`` promotes to :class:`GaussianRational`.
+    ``Fraction`` promotes to :class:`GaussianRational`; ``.re`` and ``.im``
+    read the parts as ``Fraction``s.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_triple",)
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
+    def __new__(cls, re=0, im=0):
+        re = re if type(re) is Fraction else Fraction(re)
+        im = im if type(im) is Fraction else Fraction(im)
+        return _reduced(re.numerator * im.denominator,
+                        im.numerator * re.denominator,
+                        re.denominator * im.denominator)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    re = property(lambda self: Fraction(self._triple[0], self._triple[2]))
+    im = property(lambda self: Fraction(self._triple[1], self._triple[2]))
+
     # -- coercion -------------------------------------------------------
 
-    @classmethod
-    def _coerce(cls, other):
+    @staticmethod
+    def _coerce(other):             # a triple, or NotImplemented
         if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, _RationalLike) or isinstance(other, Rational):
-            return cls(other)
+            return other._triple
+        if type(other) is int:
+            return other, 0, 1
+        if isinstance(other, Rational):     # Fraction among them
+            return int(other.numerator), 0, int(other.denominator)
         return NotImplemented
 
     # -- predicates -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self._triple[0] or self._triple[1])
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._triple[1]
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        o = other if type(other) is GaussianRational else self._coerce(other)
+        o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        (ar, ai, ad), (br, bi, bd) = self._triple, o
+        if ad == bd:
+            return _reduced(ar + br, ai + bi, ad)
+        return _reduced(ar * bd + br * ad, ai * bd + bi * ad, ad * bd)
 
     __radd__ = __add__
 
@@ -62,25 +75,25 @@ class GaussianRational:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        return self + _reduced(-o[0], -o[1], o[2])
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return o - self
+        return -self + _reduced(*o)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _reduced(-self._triple[0], -self._triple[1], self._triple[2])
 
     def __mul__(self, other):
-        o = other if type(other) is GaussianRational else self._coerce(other)
+        o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if not o.im:            # real factor: skip the products with zero
-            return GaussianRational(self.re * o.re, self.im * o.re)
-        return GaussianRational(self.re * o.re - self.im * o.im,
-                                self.re * o.im + self.im * o.re)
+        (ar, ai, ad), (br, bi, bd) = self._triple, o
+        if not bi:              # real factor: skip the products with zero
+            return _reduced(ar * br, ai * br, ad * bd)
+        return _reduced(ar * br - ai * bi, ar * bi + ai * br, ad * bd)
 
     __rmul__ = __mul__
 
@@ -88,34 +101,35 @@ class GaussianRational:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
+        (ar, ai, ad), (br, bi, bd) = self._triple, o
+        norm = br * br + bi * bi
+        if not norm:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational((self.re * o.re + self.im * o.im) / d,
-                                (self.im * o.re - self.re * o.im) / d)
+        # (a / ad) / (b / bd) = a conj(b) bd / (ad |b|^2)
+        return _reduced((ar * br + ai * bi) * bd, (ai * br - ar * bi) * bd,
+                        ad * norm)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return o / self
+        return _reduced(*o) / self
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
-        if n < 0:
-            return (GaussianRational(1) / self) ** (-n)
-        out = GaussianRational(1)
-        base = self
-        while n:
+        zr, zi, zd = (self if n >= 0 else 1 / self)._triple
+        n = abs(n)
+        re, im, den = 1, 0, zd ** n
+        while n:            # the Gaussian integer numerator, squared up
             if n & 1:
-                out = out * base
-            base = base * base
+                re, im = re * zr - im * zi, re * zi + im * zr
+            zr, zi = zr * zr - zi * zi, 2 * zr * zi
             n >>= 1
-        return out
+        return _reduced(re, im, den)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _reduced(self._triple[0], -self._triple[1], self._triple[2])
 
     # -- comparisons / conversions ----------------------------------------
 
@@ -123,7 +137,7 @@ class GaussianRational:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self._triple == o
 
     def __hash__(self):
         return hash((self.re, self.im))
@@ -132,19 +146,32 @@ class GaussianRational:
         return not self.is_zero()
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        ar, ai, ad = self._triple
+        return complex(ar / ad, ai / ad)    # int true division rounds exactly
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        im = f"{self.im}i" if abs(self.im) != 1 else ("i" if self.im > 0 else "-i")
-        if self.re == 0:
-            return im
-        sign = "+" if self.im > 0 else ""
-        return f"{self.re}{sign}{im}"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        im_text = f"{im}i" if abs(im) != 1 else ("i" if im > 0 else "-i")
+        if re == 0:
+            return im_text
+        sign = "+" if im > 0 else ""
+        return f"{re}{sign}{im_text}"
+
+
+_set = GaussianRational.__dict__["_triple"].__set__
+
+
+def _reduced(re: int, im: int, den: int) -> GaussianRational:
+    """The scalar ``(re + im i) / den`` for ``den > 0``, in lowest terms."""
+    g = gcd(re, im, den)
+    out = object.__new__(GaussianRational)
+    _set(out, (re, im, den) if g == 1 else (re // g, im // g, den // g))
+    return out
 
 
 ONE = GaussianRational(1)

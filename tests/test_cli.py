@@ -165,6 +165,19 @@ def test_iso_check(tmp_path, capsys):
     assert (tmp_path / "amplitudes_dst.csv").exists()
 
 
+def test_iso_check_fails_an_unresolved_basis(tmp_path, capsys):
+    # 17 points cannot resolve 12 levels: the transport is still exact, but
+    # the source table is far from the identity, so the verdict is a fail
+    # (the run itself succeeds and reports it)
+    code = main(["iso-check", "--src", "1,1,1", "--dst", "-2i,1,1",
+                 "--grid-n", "17", "-k", "12", "--out", str(tmp_path)])
+    assert code == 0
+    payload = read_json(tmp_path, "iso_check.json")
+    assert payload["max_deviation"] == 0.0
+    assert payload["identity_deviation"] > 0.1
+    assert payload["passed"] is False
+
+
 def test_wedges(tmp_path):
     assert run_cli(tmp_path, "wedges", "--a", "1", "--b", "1", "--c", "1") == 0
     payload = read_json(tmp_path, "wedges.json")

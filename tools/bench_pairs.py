@@ -16,6 +16,10 @@ quartiles, the parent's interquartile range, the share of pairs the change
 wins and whether the change clears both bars of a claimed gain: it wins at
 least nine pairs in ten, and its median beats the parent's by more than the
 parent's interquartile range.  Failed operations are counted per side.
+Each run's op-latency p10 and p90 come from the ``record.json`` that
+``run.py`` names; a run whose p90/p10 exceeds 1.3 is marked, since a
+machine that changes speed inside a run spreads its latencies that way
+and can make short pairs read a different gain than long ones.
 The export is removed afterwards; nothing under ``perfbench/`` is changed,
 though each run leaves its record under its side's ``.perfbench_runs/``.
 Standard library only.
@@ -33,6 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WIN_SHARE = 0.9
+SPREAD_MARK = 1.3           # p90/p10 of op latency above which a run is marked
 
 
 def export(rev: str, dest: Path) -> Path:
@@ -49,7 +54,9 @@ def export(rev: str, dest: Path) -> Path:
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py`` run in ``root``: its last JSON line."""
+    """One ``perfbench/run.py`` run in ``root``: its last JSON line, with
+    the p10 and p90 of its op latencies (ms, warm-up op excluded) from the
+    record that the line before names, as ``latency_p10_p90``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
@@ -57,7 +64,13 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode:
         raise SystemExit(f"{root}: perfbench/run.py exited {proc.returncode}"
                          f"\n{proc.stderr[-2000:]}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    *_, details, result = proc.stdout.strip().splitlines()
+    record = json.loads(
+        (root / json.loads(details)["record"]).read_text("utf-8"))
+    latencies = [1e3 * op["s"] for op in record["ops"][1:]]
+    deciles = statistics.quantiles(latencies, n=10, method="inclusive") \
+        if len(latencies) > 1 else latencies
+    return {**json.loads(result), "latency_p10_p90": (deciles[0], deciles[-1])}
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -75,6 +88,15 @@ def report(workload: str, runs: dict[str, list[dict]], declared: list[dict],
         failed = sum(r["failed"] for r in runs[side])
         attempted = sum(r["attempted"] for r in runs[side])
         print(f"   {side}: {failed} of {attempted} ops failed")
+    print(f"-- op latency p10 / p90 per run (ms; * marks p90/p10 > "
+          f"{SPREAD_MARK})")
+    for i, side_first in enumerate(first):
+        cells = []
+        for side in ("parent", "change"):
+            p10, p90 = runs[side][i]["latency_p10_p90"]
+            mark = "*" if p90 > SPREAD_MARK * p10 else " "
+            cells.append(f"{side} {p10:.4g} / {p90:.4g}{mark}")
+        print(f"   pair {i:2d} ({side_first} first): {'  '.join(cells)}")
     for metric in declared:
         name, higher = metric["name"], metric["better"] == "higher"
         par = [r["metrics"][name]["value"] for r in runs["parent"]]
